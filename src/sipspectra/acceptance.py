@@ -237,8 +237,7 @@ def criterion_6_dirichlet_comparison(k_max: int = 4) -> ExperimentReport:
                 triples += bounds.triples
                 worst_margin = max(worst_margin, bounds.worst_margin)
                 max_div = max(max_div, bounds.max_divergence)
-                overlaps = comparison.overlap_histogram(g, k)
-                max_overlap = max(max_overlap, max(overlaps.values()))
+                max_overlap = max(max_overlap, max(bounds.overlaps.values()))
             ok = (comp.violations == 0 and bound_violations == 0
                   and max_overlap <= 6 and max_div < 1e-12)
             _timed(report, f"{gname}/{aname}",

@@ -54,6 +54,15 @@ def _torus_neighbors(n: int, d: int):
     return pairs
 
 
+def _separation_jumps(n: int, d: int) -> sp.csr_matrix:
+    """Off-diagonal rates of the separation walk: rate 2 to each of its 2d neighbors."""
+    pairs = _torus_neighbors(n, d)
+    rows = np.concatenate([flat for flat, _ in pairs])
+    cols = np.concatenate([to for _, to in pairs])
+    return sp.coo_matrix((np.full(rows.size, 2.0), (rows, cols)),
+                         shape=(n**d, n**d)).tocsr()
+
+
 def torus_walk_gap(n: int) -> float:
     """Walk gap on the torus with unit rates: 2(1 - cos(2 pi / n))."""
     return 2.0 * (1.0 - math.cos(2.0 * math.pi / n))
@@ -67,25 +76,12 @@ def difference_walk_rate(n: int, d: int) -> float:
     the origin; the bottom Dirichlet eigenvalue on the complement is the
     two-stack sector rate of the limit chain.
     """
-    size = n**d
     coords = _torus_coords(n, d)
     dist = np.minimum(coords, n - coords).sum(axis=1)
     keep = np.nonzero(dist >= 2)[0]
     if keep.size == 0:
         raise ValueError(f"no separated states on the torus of size {n}^{d}")
-    pos = -np.ones(size, dtype=int)
-    pos[keep] = np.arange(keep.size)
-    rows, cols, vals = [], [], []
-    for flat, to in _torus_neighbors(n, d):
-        src, dst = pos[flat], pos[to]
-        ok = (src >= 0) & (dst >= 0)
-        rows.append(src[ok])
-        cols.append(dst[ok])
-        vals.append(np.full(int(ok.sum()), 2.0))
-    off = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(keep.size, keep.size),
-    ).tocsr()
+    off = _separation_jumps(n, d)[keep][:, keep]
     neg = sp.diags(np.full(keep.size, 4.0 * d)) - off
     if keep.size <= 400:
         return float(np.linalg.eigvalsh(neg.toarray())[0])
@@ -96,16 +92,7 @@ def difference_walk_rate(n: int, d: int) -> float:
 def _hitting_times_to_origin(n: int, d: int) -> np.ndarray:
     """Mean times for the rate-2 separation walk to hit the origin."""
     size = n**d
-    rows, cols, vals = [], [], []
-    for flat, to in _torus_neighbors(n, d):
-        rows.append(flat)
-        cols.append(to)
-        vals.append(np.full(size, 2.0))
-    off = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    ).tocsr()
-    neg_l = sp.diags(np.full(size, 4.0 * d)) - off
+    neg_l = sp.diags(np.full(size, 4.0 * d)) - _separation_jumps(n, d)
     inner = np.arange(1, size)
     h = spla.spsolve(neg_l[inner][:, inner].tocsc(), np.ones(size - 1))
     out = np.zeros(size)
@@ -129,9 +116,8 @@ def kac_return_time(n: int, d: int) -> float:
 
 
 def kac_first_escape(n: int, d: int) -> float:
-    """Mean time to first leave the origin (one-state linear system)."""
-    # (-L) restricted to {0} is the scalar 4d
-    return 1.0 / (4.0 * d)
+    """Mean time to first leave the origin: one over its assembled jump rates."""
+    return 1.0 / float(_separation_jumps(n, d)[0].sum())
 
 
 @dataclass

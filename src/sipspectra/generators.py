@@ -214,7 +214,7 @@ def open_generator_apply(g: WeightedGraph, omega, theta, f, occupation) -> float
     return float(total)
 
 
-def dirichlet_form(L: GeneratorMatrix, f, reversibility_tol: float = 1e-8) -> float:
+def dirichlet_form(L: GeneratorMatrix, f) -> float:
     """Quadratic form <f, -L f> under the reference measure.
 
     Evaluated as the sum over transitions of mu(eta) r(eta, xi) (grad f)^2 / 2,
@@ -227,7 +227,7 @@ def dirichlet_form(L: GeneratorMatrix, f, reversibility_tol: float = 1e-8) -> fl
     carrier = L.carrier().tocoo()
     scale = float(carrier.data.max(initial=0.0))
     asym = float(np.abs((carrier - carrier.T).data).max(initial=0.0))
-    if scale > 0 and asym > reversibility_tol * scale:
+    if scale > 0 and asym > 1e-8 * scale:
         raise ValueError(f"generator is not reversible (residual {asym:.3e})")
     grads = f[carrier.col] - f[carrier.row]
     value = 0.5 * float(np.dot(carrier.data, grads**2))

@@ -25,7 +25,6 @@ from .spectral import expm_action, spectral_gap, spectrum
 __all__ = [
     "meixner_d",
     "duality_eval",
-    "DualityFunction",
     "lift_F",
     "killed_eigenpairs",
     "gap_identity_check",
@@ -71,17 +70,6 @@ def duality_eval(g: WeightedGraph, rho: float, xi_cfg, eta_cfg) -> float:
         meixner_d(float(a), rho, int(xq), int(eq))
         for a, xq, eq in zip(g.alpha, xi_cfg, eta_cfg)
     ]))
-
-
-@dataclass(frozen=True)
-class DualityFunction:
-    """Duality kernel at fixed site weights and reservoir density."""
-
-    graph: WeightedGraph
-    rho: float
-
-    def __call__(self, xi_cfg, eta_cfg) -> float:
-        return duality_eval(self.graph, self.rho, xi_cfg, eta_cfg)
 
 
 def lift_F(g: WeightedGraph, rho: float, psi, space: ConfigSpace | int):

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from sipspectra import comparison
+from sipspectra.cli import main
 from sipspectra.comparison import (
+    _triples,
     alt_bounds_report,
     build_plan,
     case_bound,
@@ -19,6 +22,7 @@ from sipspectra.comparison import (
 from sipspectra.configspace import enumerate_configs
 from sipspectra.generators import build_sip, dirichlet_form
 from sipspectra.graphs import complete, h_shape, path_graph, torus
+from sipspectra.reports import parse_report
 
 
 def test_reassembly_matches_complete_energy():
@@ -146,18 +150,59 @@ def test_overlaps():
 
 def test_off_geodesic_terms_untouched():
     g = path_graph(4)
-    k = 2
-    x, y = 0, 1
     geodesic_sites = {0, 1}
-    space = enumerate_configs(g, k)
-    free = [v for v in range(g.n) if v not in (x, y)]
-    from sipspectra.comparison import _background_tuples
-    for l in range(1, k + 1):
-        for sigma in _background_tuples(g.n, free, k - l):
-            for m in range(1, l + 1):
-                plan = build_plan(g, x, y, l, m, sigma)
-                for e in plan.edges:
-                    assert {e.site_from, e.site_to} <= geodesic_sites
+    for x, y, l, m, sigma in _triples(g, 2):
+        if (x, y) != (0, 1):
+            continue
+        plan = build_plan(g, x, y, l, m, sigma)
+        for e in plan.edges:
+            assert {e.site_from, e.site_to} <= geodesic_sites
+
+
+def test_triples_match_the_term_count_and_pair_order():
+    g = path_graph(4)
+    triples = list(_triples(g, 3))
+    assert len(triples) == len(decompose_dirichlet(g, 3))
+    pairs = [t[:2] for t in triples]
+    assert pairs == sorted(pairs)
+    assert all(x < y and sigma[x] == 0 == sigma[y] and sum(sigma) == 3 - l
+               for x, y, l, m, sigma in triples)
+
+
+def test_h_shape_sweep_values():
+    # values of the separate cost and overlap sweeps; by_case order is the report's key order
+    g = h_shape()
+    rep = case_bound_report(g, 3)
+    assert rep.triples == 315
+    assert rep.by_case == {"connected": 105, "empty_few": 120, "occupied": 40,
+                           "empty_many": 10, "general": 40}
+    assert list(rep.by_case) == ["connected", "empty_few", "occupied",
+                                 "empty_many", "general"]
+    assert rep.violations == 0
+    assert rep.worst_margin == pytest.approx(1.0000000000000002, rel=1e-12)
+    assert rep.max_divergence == 0.0
+    hist = overlap_histogram(g, 3)
+    assert hist == rep.overlaps
+    assert hist == {(0, 1): 1, (0, 2): 2, (0, 3): 3, (0, 4): 2, (0, 5): 3,
+                    (1, 2): 1, (1, 3): 2, (1, 4): 1, (1, 5): 2, (2, 3): 3,
+                    (2, 4): 2, (2, 5): 3, (3, 4): 1, (3, 5): 2, (4, 5): 1}
+    assert max(hist, key=hist.get) == (0, 3)
+
+
+def test_compare_request_builds_each_plan_once(monkeypatch, capsys):
+    calls = 0
+
+    def counting_build_plan(*args):
+        nonlocal calls
+        calls += 1
+        return build_plan(*args)
+
+    monkeypatch.setattr(comparison, "build_plan", counting_build_plan)
+    assert main(["compare-dirichlet", "--family", "path(4)", "--k", "3",
+                 "--panel", "2"]) == 0
+    report = parse_report(capsys.readouterr().out)
+    bounds = next(r for r in report.records if r.name == "per_case_cost_bounds")
+    assert calls == bounds.computed["triples"] > 0
 
 
 def test_verify_key_ing():

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import comparison, intertwiners, metastable, nonconservative
 from .configspace import enumerate_configs
-from .experiments import explicit_lower_bound, torus_experiment
+from .experiments import _linear_bound, torus_experiment
 from .generators import (
     build_killed,
     build_lookdown,
@@ -133,7 +133,7 @@ def criterion_3_sandwich_and_lower_bound(k_max: int = 4) -> ExperimentReport:
                                   for k in range(2, k_max + 1))
                     met = metrics(g)
                     lower = min(1.0, met.alpha_min) * gap_rw
-                    linear = explicit_lower_bound(g)
+                    linear = _linear_bound(met, g.n)
                     good = (lower - tol <= gap_sip <= gap_rw + tol
                             and gap_sip >= linear - tol)
                     if not good:

@@ -17,9 +17,9 @@ import numpy as np
 from . import acceptance, comparison, metastable, nonconservative
 from .configspace import SpaceCapExceeded, enumerate_configs
 from .experiments import (
+    _linear_bound,
     bounds_report_rows,
     quadratic_crossover,
-    explicit_lower_bound,
     torus_experiment,
 )
 from .generators import build_killed, build_sip
@@ -76,7 +76,7 @@ def _cmd_gap(args) -> int:
     met = metrics(g)
     gap_rw = scan.gaps[0]
     lower = min(1.0, met.alpha_min) * gap_rw
-    linear = explicit_lower_bound(g)
+    linear = _linear_bound(met, g.n)
     report.add(CheckRecord(
         name="per_particle_gaps",
         reference="gaps shrink weakly in the particle number",
@@ -133,8 +133,9 @@ def _cmd_spectrum(args) -> int:
         reference="eigenvalues of the negated generator are real and ordered",
         computed={"eigenvalues": [float(v) for v in spec.eigenvalues],
                   "gap": spec.gap, "partial": spec.partial},
-        target="ascending, first zero when conservative", tolerance=1e-8,
-        passed=True))
+        target="ascending, first zero when conservative and positive when "
+               "killed", tolerance=1e-8,
+        passed=spec.well_formed()))
     return _write(report, args)
 
 
@@ -406,6 +407,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "k", 1) < 1:
+            raise ValueError(f"--k must be at least 1, got {args.k}")
         return args.func(args)
     except (GraphError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

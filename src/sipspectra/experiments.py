@@ -9,7 +9,7 @@ computation on small sizes before the scan is trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,9 +17,9 @@ import scipy.sparse.linalg as spla
 
 from .configspace import SpaceCapExceeded
 from .generators import build_sip
-from .graphs import WeightedGraph, metrics, torus
+from .graphs import GraphMetrics, WeightedGraph, metrics, torus
 from .metastable import build_chain, lambda_km
-from .spectral import spectral_gap
+from .spectral import _start_vector, spectral_gap
 
 __all__ = [
     "TorusRow",
@@ -85,7 +85,8 @@ def difference_walk_rate(n: int, d: int) -> float:
     neg = sp.diags(np.full(keep.size, 4.0 * d)) - off
     if keep.size <= 400:
         return float(np.linalg.eigvalsh(neg.toarray())[0])
-    val = spla.eigsh(neg, k=1, sigma=0.0, which="LM", return_eigenvectors=False)
+    val = spla.eigsh(neg, k=1, sigma=0.0, which="LM", v0=_start_vector(keep.size),
+                     return_eigenvectors=False)
     return float(val[0])
 
 
@@ -205,12 +206,16 @@ def torus_experiment(d: int, n_range, budget: int = 300_000,
 # -- bounds table ------------------------------------------------------------
 
 
-def explicit_lower_bound(g: WeightedGraph) -> float:
-    """Explicit lower bound on the many-particle gap from graph features."""
-    met = metrics(g)
+def _linear_bound(met: GraphMetrics, n: int) -> float:
+    """The explicit bound from graph features already computed, for n vertices."""
     return (met.alpha_min / 21.0) * (met.alpha_ratio
                                      / 6.0 ** (met.alpha_min / met.alpha_ratio)) \
-        * met.c_min / (g.n**2 * met.diameter)
+        * met.c_min / (n**2 * met.diameter)
+
+
+def explicit_lower_bound(g: WeightedGraph) -> float:
+    """Explicit lower bound on the many-particle gap from graph features."""
+    return _linear_bound(metrics(g), g.n)
 
 
 @dataclass
@@ -242,7 +247,7 @@ def bounds_report_rows(g: WeightedGraph, k_max: int = 4,
         gaps = [spectral_gap(build_sip(ge, k)) for k in range(2, k_max + 1)]
         gap_sip = min(gaps)
         lower = min(1.0, met.alpha_min) * gap_rw
-        linear = explicit_lower_bound(ge)
+        linear = _linear_bound(met, ge.n)
         quadratic = met.alpha_min**2 * base_gap_hat
         rows.append(BoundsRow(
             eps=float(eps),
@@ -264,13 +269,21 @@ def quadratic_crossover(g: WeightedGraph, hi: float = 1.0) -> float | None:
     in eps up to the slowly varying weight-dependent factor, so they cross
     once; found by bisection on (0, hi].  None when the linear bound already
     wins at eps = hi.
+
+    Diameter and conductances do not depend on the weights, and the rescaled
+    weights eps * alpha / alpha_min enter the bound only through their
+    extremes.  Correctly rounded multiply and divide are monotone, so the
+    scalar extremes below equal min and max of that array bit for bit, and
+    each margin is scalar arithmetic on features computed once per call.
     """
     base_gap_hat = spectral_gap(build_sip(g.with_alpha(g.alpha / g.alpha.min()), 1))
+    met = metrics(g)
+    a_min, a_max = met.alpha_min, met.alpha_max
 
     def margin(eps: float) -> float:
-        ge = g.with_alpha(eps * g.alpha / g.alpha.min())
-        met = metrics(ge)
-        return explicit_lower_bound(ge) - met.alpha_min**2 * base_gap_hat
+        low, high = eps * a_min / a_min, eps * a_max / a_min
+        scaled = replace(met, alpha_min=low, alpha_max=high, alpha_ratio=low / high)
+        return _linear_bound(scaled, g.n) - low**2 * base_gap_hat
 
     if margin(hi) > 0:
         return None

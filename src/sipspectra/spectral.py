@@ -47,6 +47,16 @@ class Spectrum:
     partial: bool = False
     multiplicity_tolerance: float = 1e-8
 
+    def well_formed(self) -> bool:
+        """Ascending, with a zero bottom (to 1e-8 * scale) when conservative
+        and a positive one when killed."""
+        ev = self.eigenvalues
+        if not np.all(ev[1:] >= ev[:-1]):
+            return False
+        if not self.conservative:
+            return bool(ev[0] > 0.0)
+        return bool(abs(ev[0]) <= 1e-8 * max(abs(float(ev[-1])), 1.0))
+
     def groups(self) -> list[tuple[float, int]]:
         """Eigenvalues grouped into (value, multiplicity) clusters."""
         out: list[tuple[float, int]] = []

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from sipspectra.cli import main
 from sipspectra.reports import CheckRecord, ExperimentReport, emit_report, parse_report
 
@@ -79,6 +81,12 @@ def test_cli_input_error_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["gap", "--graph", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command", ["compare-dirichlet", "spectrum", "metastable"])
+def test_cli_zero_particles_is_input_error(command, capsys):
+    assert main([command, "--family", "path(3)", "--k", "0"]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_cli_budget_exceeded():

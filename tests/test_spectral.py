@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,20 @@ def test_killed_two_state_spectrum():
     np.testing.assert_allclose(s.eigenvalues, golden, atol=1e-12)
     assert s.gap == pytest.approx(golden[0])
     assert np.all(s.eigenvalues > 0)
+
+
+def test_spectrum_well_formed_check_can_fail():
+    cons = spectrum(build_sip(path_graph(3, alpha=(0.5, 1.0, 2.0)), 2))
+    killed = spectrum(build_killed(path_graph(2), (1.0, 0.0), 1))
+    assert cons.well_formed() and killed.well_formed()
+    ev = cons.eigenvalues
+    for bad in (ev[::-1],                               # out of order
+                ev + 1e-3,                              # bottom shifted off zero
+                np.concatenate([ev[:1], ev[2:3], ev[1:2], ev[3:]])):  # one swap
+        assert not dataclasses.replace(cons, eigenvalues=bad).well_formed()
+    # a killed spectrum must sit strictly above zero
+    shifted = killed.eigenvalues - killed.eigenvalues[0]
+    assert not dataclasses.replace(killed, eigenvalues=shifted).well_formed()
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 12])

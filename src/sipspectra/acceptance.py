@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .graphs import WeightedGraph, complete, h_shape, metrics, path_graph, torus
 from .reports import CheckRecord, ExperimentReport
 from .spectral import spectral_gap, spectrum
 
-__all__ = ["CRITERIA", "run_criterion", "run_all", "standard_suite"]
+__all__ = ["CRITERIA", "run_criterion", "standard_suite"]
 
 MIXED_PATTERN = (0.3, 2.0, 0.7, 1.2, 0.4, 1.7)
 
@@ -576,14 +576,3 @@ CRITERIA: dict[int, Callable[[], ExperimentReport]] = {
 def run_criterion(number: int) -> ExperimentReport:
     return CRITERIA[number]()
 
-
-def run_all(numbers: Iterable[int] | None = None,
-            progress: Callable[[str], None] | None = None) -> list[ExperimentReport]:
-    reports = []
-    for number in sorted(numbers or CRITERIA):
-        report = run_criterion(number)
-        reports.append(report)
-        if progress is not None:
-            status = "pass" if report.passed else "FAIL"
-            progress(f"{report.experiment}: {status}")
-    return reports

@@ -69,6 +69,9 @@ def _write(report: ExperimentReport, args) -> int:
 
 
 def _cmd_gap(args) -> int:
+    if args.k_max < 2:
+        raise ValueError(f"--k-max must be at least 2 for a many-particle gap, "
+                         f"got {args.k_max}")
     g = _load_graph(args)
     report = ExperimentReport("gap", {**_graph_inputs(g), "k_max": args.k_max})
     t0 = time.perf_counter()
@@ -242,6 +245,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_nonconservative(args) -> int:
+    if args.k_max < 1:
+        raise ValueError(f"--k-max must be at least 1, got {args.k_max}")
     g = _load_graph(args)
     omega = _parse_floats(args.omega, g.n) if args.omega else np.eye(g.n)[0]
     report = ExperimentReport(
@@ -293,6 +298,8 @@ def _cmd_nonconservative(args) -> int:
 
 def _cmd_torus(args) -> int:
     lo, hi = (int(v) for v in args.n_range.split(":"))
+    if lo > hi:
+        raise ValueError(f"--n-range {args.n_range} is empty")
     scan = torus_experiment(args.d, range(lo, hi + 1), budget=args.budget)
     report = ExperimentReport("torus", {"d": args.d, "n_range": args.n_range})
     report.add(CheckRecord(

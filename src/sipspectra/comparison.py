@@ -73,11 +73,6 @@ class PlanEdge:
         """Oriented gradient-term key: base configuration and the jump."""
         return (self.eta, self.site_from, self.site_to)
 
-    def pair_key(self) -> tuple:
-        """Canonical unordered configuration-pair key."""
-        zeta = self.zeta
-        return (self.eta, zeta) if self.eta <= zeta else (zeta, self.eta)
-
 
 @dataclass
 class TransferPlan:

@@ -2,9 +2,12 @@
 
 A configuration is an occupation vector over the vertices; the space of all
 k-particle configurations is enumerated once in ascending lexicographic order
-and indexed both ways.  The partition into the interaction-absorbing part
-(no two adjacent occupied sites) and its complement, refined by the number of
-occupied sites ("stacks"), is computed at enumeration time.
+and ranked by one vectorized lexicographic ranker.  Adding a particle at a
+site maps the (k-1)-particle space into this one; that map is tabulated once
+per space, and every particle jump, removal and addition reads the table.
+The partition into the interaction-absorbing part (no two adjacent occupied
+sites) and its complement, refined by the number of occupied sites
+("stacks"), is computed at enumeration time.
 """
 
 from __future__ import annotations
@@ -75,12 +78,12 @@ class ConfigSpace:
     def config(self, i: int) -> tuple[int, ...]:
         return tuple(int(v) for v in self.occupations[i])
 
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {tuple(map(int, row)): i for i, row in enumerate(self.occupations)}
-
     def index_of(self, occupation) -> int:
-        return self.index[tuple(int(v) for v in occupation)]
+        """Index of one occupation; KeyError if it is not in this space."""
+        row = np.asarray(occupation, dtype=np.int64)
+        if row.shape != (self.n_sites,) or row.min() < 0 or row.sum() != self.k:
+            raise KeyError(tuple(occupation))
+        return int(self.rank_rows(row[None, :])[0])
 
     @cached_property
     def _tails(self) -> np.ndarray:
@@ -104,6 +107,25 @@ class ConfigSpace:
             p = n - 1 - j
             ranks += tails[rem[:, j], p] - tails[rem[:, j] - occ[:, j], p]
         return ranks
+
+    @cached_property
+    def up(self) -> np.ndarray:
+        """up[x, i]: index of the i-th (k-1)-configuration plus a particle at x.
+
+        Rows with a particle at site 0, less that particle, are the (k-1)
+        space in its own lexicographic order, so no second enumeration is
+        needed.  A jump x -> y is the index pair (up[x], up[y]); a removal
+        at x is (up[x], arange) and an addition at x is (arange, up[x]).
+        """
+        lower = self.occupations[self.occupations[:, 0] > 0]
+        lower[:, 0] -= 1
+        table = np.empty((self.n_sites, lower.shape[0]), dtype=np.int64)
+        for x in range(self.n_sites):
+            lower[:, x] += 1
+            table[x] = self.rank_rows(lower)
+            lower[:, x] -= 1
+        table.setflags(write=False)
+        return table
 
     # -- partition into absorbing / transient parts -------------------------
 

@@ -96,26 +96,14 @@ def _assemble(g: WeightedGraph, space: ConfigSpace, edge_rate) -> sp.csr_matrix:
     The space provides indexing only, so a generator for one edge set may be
     assembled on the index space of another graph over the same vertices.
     """
-    occ = space.occupations
-    size = space.size
+    occ, up, size = space.occupations, space.up, space.size
     rows, cols, vals = [], [], []
     for x, y, c in g.directed_edges:
-        src = np.nonzero(occ[:, x] > 0)[0]
-        if src.size == 0:
-            continue
-        rate = edge_rate(occ[src], x, y, c)
+        rate = edge_rate(occ[up[x]], x, y, c)
         hot = rate > 0
-        if not np.any(hot):
-            continue
-        src, rate = src[hot], rate[hot]
-        tgt_occ = occ[src].copy()
-        tgt_occ[:, x] -= 1
-        tgt_occ[:, y] += 1
-        rows.append(src)
-        cols.append(space.rank_rows(tgt_occ))
-        vals.append(rate.astype(float))
-    if not rows:
-        return sp.csr_matrix((size, size))
+        rows.append(up[x][hot])
+        cols.append(up[y][hot])
+        vals.append(rate[hot])
     mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(size, size),

@@ -36,28 +36,16 @@ RANK_TOL = 1e-10
 
 
 def annihilation(g: WeightedGraph, k: int,
-                 space_k: ConfigSpace | None = None,
-                 space_prev: ConfigSpace | None = None) -> sp.csr_matrix:
+                 space_k: ConfigSpace | None = None) -> sp.csr_matrix:
     """Matrix of g -> sum_x eta_x g(eta - delta_x), shape |Xi_k| x |Xi_{k-1}|."""
     if k < 1:
         raise ValueError("k must be at least 1")
     space_k = space_k or enumerate_configs(g, k)
-    space_prev = space_prev or enumerate_configs(g, k - 1)
-    occ = space_k.occupations
-    rows, cols, vals = [], [], []
-    for x in range(g.n):
-        src = np.nonzero(occ[:, x] > 0)[0]
-        if src.size == 0:
-            continue
-        lower = occ[src].copy()
-        lower[:, x] -= 1
-        rows.append(src)
-        cols.append(space_prev.rank_rows(lower))
-        vals.append(occ[src, x].astype(float))
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space_k.size, space_prev.size),
-    ).tocsr()
+    up = space_k.up
+    eta_x = space_k.occupations[up, np.arange(g.n)[:, None]]  # one row per site x
+    lower = np.tile(np.arange(up.shape[1]), g.n)
+    return sp.coo_matrix((eta_x.ravel().astype(float), (up.ravel(), lower)),
+                         shape=(space_k.size, up.shape[1])).tocsr()
 
 
 def creation(g: WeightedGraph, k: int,
@@ -68,18 +56,10 @@ def creation(g: WeightedGraph, k: int,
         raise ValueError("k must be at least 1")
     space_k = space_k or enumerate_configs(g, k)
     space_prev = space_prev or enumerate_configs(g, k - 1)
-    occ = space_prev.occupations
-    rows, cols, vals = [], [], []
-    for x in range(g.n):
-        raised = occ.copy()
-        raised[:, x] += 1
-        rows.append(np.arange(space_prev.size))
-        cols.append(space_k.rank_rows(raised))
-        vals.append(occ[:, x] + g.alpha[x])
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space_prev.size, space_k.size),
-    ).tocsr()
+    weight = (space_prev.occupations + g.alpha).T  # xi_x + alpha_x, one row per site x
+    lower = np.tile(np.arange(space_prev.size), g.n)
+    return sp.coo_matrix((weight.ravel(), (lower, space_k.up.ravel())),
+                         shape=(space_prev.size, space_k.size)).tocsr()
 
 
 def adjointness_residual(g: WeightedGraph, k: int, trials: int = 10,
@@ -87,7 +67,7 @@ def adjointness_residual(g: WeightedGraph, k: int, trials: int = 10,
     """Max deviation in <a g, f>_k = k/(|alpha|+k-1) <g, a* f>_{k-1}."""
     space_k = enumerate_configs(g, k)
     space_prev = enumerate_configs(g, k - 1)
-    a = annihilation(g, k, space_k, space_prev)
+    a = annihilation(g, k, space_k)
     a_dag = creation(g, k, space_k, space_prev)
     mu_k, mu_prev = mu(g, space_k), mu(g, space_prev)
     factor = k / (g.total_alpha() + k - 1)
@@ -108,7 +88,7 @@ def consistency_residual(g: WeightedGraph, k: int) -> float:
         raise ValueError("consistency needs k >= 2")
     space_k = enumerate_configs(g, k)
     space_prev = enumerate_configs(g, k - 1)
-    a = annihilation(g, k, space_k, space_prev)
+    a = annihilation(g, k, space_k)
     L_k = build_sip(g, k, space_k).as_sparse()
     L_prev = build_sip(g, k - 1, space_prev).as_sparse()
     resid = L_k @ a - a @ L_prev
@@ -257,11 +237,8 @@ def contraction_map(g: WeightedGraph, k: int, f) -> tuple[np.ndarray, Contractio
     total = g.total_alpha()
     weights = g.alpha / total
     sq = np.zeros(space_prev.size)
-    occ = space_prev.occupations
     for x in range(g.n):
-        raised = occ.copy()
-        raised[:, x] += 1
-        sq += weights[x] * f[space_k.rank_rows(raised)] ** 2
+        sq += weights[x] * f[space_k.up[x]] ** 2
     g_f = np.sqrt(sq)
     factor = (total + k - 1) / total
     L_k = build_sip(g, k, space_k)

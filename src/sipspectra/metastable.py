@@ -225,7 +225,7 @@ def restricted_annihilation(g: WeightedGraph, k: int,
                             chain_k: MetastableChain,
                             chain_prev: MetastableChain) -> sp.csr_matrix:
     """Particle-removal operator restricted to the absorbing sets."""
-    full = annihilation(g, k, chain_k.space, chain_prev.space)
+    full = annihilation(g, k, chain_k.space)
     sub = full[chain_k.omega][:, chain_prev.omega]
     return sp.csr_matrix(sub)
 

@@ -139,19 +139,14 @@ def build_absorbing_chain(g: WeightedGraph, omega, k: int):
         cols.extend(lo + coo.col)
         vals.extend(coo.data)
         diag[lo:lo + space.size] = block.diagonal
-        occ = space.occupations
-        prev = spaces[j - 1]
+        lower = offsets[j - 1] + np.arange(space.up.shape[1])
         for x in range(g.n):
             if omega[x] == 0.0:
                 continue
-            src = np.nonzero(occ[:, x] > 0)[0]
-            if src.size == 0:
-                continue
-            down = occ[src].copy()
-            down[:, x] -= 1
+            src = space.up[x]
             rows.extend(lo + src)
-            cols.extend(offsets[j - 1] + prev.rank_rows(down))
-            vals.extend(omega[x] * occ[src, x])
+            cols.extend(lower)
+            vals.extend(omega[x] * space.occupations[src, x])
     rates = sp.coo_matrix((vals, (rows, cols)), shape=(total, total)).tocsr()
     gen = GeneratorMatrix(space=spaces, rates=rates, diagonal=diag)
     alive = np.ones(total)
@@ -214,9 +209,7 @@ def apply_b(g: WeightedGraph, omega, theta, rho: float, k: int,
         coeff = omega[x] * (theta[x] - rho)
         if coeff == 0.0:
             continue
-        raised = occ.copy()
-        raised[:, x] += 1
-        out += coeff * (g.alpha[x] + occ[:, x]) * psi[space.rank_rows(raised)]
+        out += coeff * (g.alpha[x] + occ[:, x]) * psi[space.up[x]]
     return k * out / (total + k - 1)
 
 

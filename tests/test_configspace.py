@@ -54,6 +54,13 @@ def test_rank_round_trip(k, n):
         assert space.index_of(space.config(i)) == i
 
 
+@pytest.mark.parametrize("occupation", [(1, 1), (1, 1, 0, 0), (3, -1, 0), (1, 0, 0)])
+def test_index_of_rejects_foreign_occupations(occupation):
+    # wrong length, negative entry, wrong particle total: none is a state
+    with pytest.raises(KeyError):
+        enumerate_configs(path_graph(3), 2).index_of(occupation)
+
+
 def test_partition_disjoint_and_exhaustive():
     for g, k in ((torus(4, 1), 3), (h_shape(), 4), (complete(3), 2)):
         space = enumerate_configs(g, k)

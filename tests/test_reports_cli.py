@@ -89,6 +89,16 @@ def test_cli_zero_particles_is_input_error(command, capsys):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gap", "--family", "path(3)", "--k-max", "1"],
+    ["nonconservative", "--family", "path(3)", "--k-max", "0"],
+    ["torus", "--d", "2", "--n-range", "6:5"],
+])
+def test_cli_degenerate_ranges_are_input_errors(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_cli_budget_exceeded():
     assert main(["torus", "--d", "2", "--n-range", "6:10",
                  "--budget", "50"]) == 4

@@ -7,6 +7,7 @@ duality machinery, packaged as a library with an experiment CLI.
 
 from .configspace import ConfigSpace, SpaceCapExceeded, enumerate_configs, move, stack_count
 from .generators import (
+    CertificationError,
     GeneratorMatrix,
     build_killed,
     build_lookdown,

@@ -2,7 +2,8 @@
 
 Subcommands: gap, spectrum, metastable, compare-dirichlet, nonconservative,
 torus, verify-all.  Exit codes: 0 all checks pass, 2 input error, 3 some
-check failed, 4 budget exceeded.
+check or numerical certificate failed, 4 budget exceeded (a configuration
+space above --budget or a spectrum above the iterative-solver cap).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .experiments import (
     quadratic_crossover,
     torus_experiment,
 )
-from .generators import build_killed, build_sip
+from .generators import CertificationError, build_killed, build_sip
 from .graphs import GraphError, WeightedGraph, build_family, graph_to_document, metrics, parse_graph
 from .reports import CheckRecord, ExperimentReport, emit_report
 from .spectral import gap_sip, spectrum
@@ -417,6 +418,9 @@ def main(argv=None) -> int:
         if getattr(args, "k", 1) < 1:
             raise ValueError(f"--k must be at least 1, got {args.k}")
         return args.func(args)
+    except CertificationError as exc:  # a ValueError, so caught first
+        print(f"certificate failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK
     except (GraphError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -3,8 +3,11 @@
 A configuration is an occupation vector over the vertices; the space of all
 k-particle configurations is enumerated once in ascending lexicographic order
 and ranked by one vectorized lexicographic ranker.  Adding a particle at a
-site maps the (k-1)-particle space into this one; that map is tabulated once
-per space, and every particle jump, removal and addition reads the table.
+site maps the (k-1)-particle space into this one; that map is tabulated, and
+every particle jump, removal and addition reads the table.  Neither table
+depends on the edges, so both are shared, read-only, by every graph with the
+same number of vertices: a bounded memo keyed by (n, k) holds the
+occupations and the addition table of the most recently used shapes.
 The partition into the interaction-absorbing part (no two adjacent occupied
 sites) and its complement, refined by the number of occupied sites
 ("stacks"), is computed at enumeration time.
@@ -13,7 +16,7 @@ sites) and its complement, refined by the number of occupied sites
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -29,6 +32,7 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 200_000
+SHARED_SHAPES = 32  # (n, k) shapes whose tables the memo keeps
 
 
 class SpaceCapExceeded(RuntimeError):
@@ -116,16 +120,20 @@ class ConfigSpace:
         space in its own lexicographic order, so no second enumeration is
         needed.  A jump x -> y is the index pair (up[x], up[y]); a removal
         at x is (up[x], arange) and an addition at x is (arange, up[x]).
+        The table is built once per (n, k) shape and shared.
         """
-        lower = self.occupations[self.occupations[:, 0] > 0]
-        lower[:, 0] -= 1
-        table = np.empty((self.n_sites, lower.shape[0]), dtype=np.int64)
-        for x in range(self.n_sites):
-            lower[:, x] += 1
-            table[x] = self.rank_rows(lower)
-            lower[:, x] -= 1
-        table.setflags(write=False)
-        return table
+        shape = _shape(self.n_sites, self.k)
+        if shape.up is None:
+            lower = self.occupations[self.occupations[:, 0] > 0]
+            lower[:, 0] -= 1
+            table = np.empty((self.n_sites, lower.shape[0]), dtype=np.int64)
+            for x in range(self.n_sites):
+                lower[:, x] += 1
+                table[x] = self.rank_rows(lower)
+                lower[:, x] -= 1
+            table.setflags(write=False)
+            shape.up = table
+        return shape.up
 
     # -- partition into absorbing / transient parts -------------------------
 
@@ -170,18 +178,34 @@ class ConfigSpace:
         return out
 
 
+class _Shape:
+    """Read-only tables of the k-particle space on n sites."""
+
+    def __init__(self, n: int, k: int):
+        size = comb(n + k - 1, k)
+        occ = np.fromiter(
+            (v for c in _compositions(k, n) for v in c), dtype=np.int64, count=size * n
+        ).reshape(size, n)
+        occ.setflags(write=False)
+        self.occupations = occ
+        self.up: np.ndarray | None = None  # filled by the first ConfigSpace.up
+
+
+@lru_cache(maxsize=SHARED_SHAPES)
+def _shape(n: int, k: int) -> _Shape:
+    return _Shape(n, k)
+
+
 def enumerate_configs(g: WeightedGraph, k: int, cap: int = DEFAULT_CAP) -> ConfigSpace:
-    """Enumerate the k-particle configuration space on g."""
+    """Enumerate the k-particle configuration space on g.
+
+    The occupation table is shared by every graph with as many vertices.
+    """
     if k < 0:
         raise ValueError("k must be non-negative")
-    n = g.n
-    size = comb(n + k - 1, k)
+    size = comb(g.n + k - 1, k)
     if size > cap:
         raise SpaceCapExceeded(
             f"configuration space has {size} states, above the cap {cap}"
         )
-    occ = np.fromiter(
-        (v for c in _compositions(k, n) for v in c), dtype=np.int64, count=size * n
-    ).reshape(size, n)
-    occ.setflags(write=False)
-    return ConfigSpace(graph=g, k=k, occupations=occ)
+    return ConfigSpace(graph=g, k=k, occupations=_shape(g.n, k).occupations)

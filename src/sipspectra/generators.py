@@ -22,6 +22,7 @@ from .graphs import WeightedGraph
 from .measures import WeightedMeasure, mu
 
 __all__ = [
+    "CertificationError",
     "GeneratorMatrix",
     "LabeledSpace",
     "build_sip",
@@ -34,6 +35,14 @@ __all__ = [
     "symmetrize_labels",
     "label_pullback",
 ]
+
+
+class CertificationError(ValueError):
+    """A numerical certificate failed: the computation is wired wrongly.
+
+    A subclass of ValueError, so handlers written for the untyped errors keep
+    working; the command line reports it as a failed check, not an input error.
+    """
 
 
 @dataclass
@@ -90,25 +99,32 @@ class GeneratorMatrix:
 
 
 def _assemble(g: WeightedGraph, space: ConfigSpace, edge_rate) -> sp.csr_matrix:
-    """Accumulate off-diagonal rates over all directed edges of g.
+    """Accumulate off-diagonal rates over all directed edges of g at once.
 
-    ``edge_rate(occ_rows, x, y, c)`` returns the per-row jump rate x -> y.
+    ``edge_rate(eta_x, eta_y, alpha_y, c)`` returns the jump rates x -> y on
+    (edges, rows) arrays: row i of edge (x, y) is the i-th configuration with
+    a particle at x.  Entries run edge by edge in ``g.directed_edges`` order.
     The space provides indexing only, so a generator for one edge set may be
     assembled on the index space of another graph over the same vertices.
     """
     occ, up, size = space.occupations, space.up, space.size
-    rows, cols, vals = [], [], []
-    for x, y, c in g.directed_edges:
-        rate = edge_rate(occ[up[x]], x, y, c)
-        hot = rate > 0
-        rows.append(up[x][hot])
-        cols.append(up[y][hot])
-        vals.append(rate[hot])
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    )
+    xs, ys = np.nonzero(g.conductances > 0)
+    rows = up[xs]
+    rate = edge_rate(occ[rows, xs[:, None]], occ[rows, ys[:, None]],
+                     g.alpha[ys][:, None], g.conductances[xs, ys][:, None])
+    # the sparse matrix stores int32 indices; converting here, not inside
+    # coo_matrix, frees each int64 (edges x rows) index array at once
+    rows, cols = rows.astype(np.int32), up[ys].astype(np.int32)
+    hot = rate > 0
+    if not hot.all():  # the pure-interaction part B vanishes where eta_y = 0
+        rows, cols, rate = rows[hot], cols[hot], rate[hot]
+    mat = sp.coo_matrix((rate.ravel(), (rows.ravel(), cols.ravel())),
+                        shape=(size, size))
     return mat.tocsr()
+
+
+def _sip_rate(eta_x, eta_y, alpha_y, c):
+    return c * eta_x * (alpha_y + eta_y)
 
 
 def _finish(space, rates, kill=None, reference=None) -> GeneratorMatrix:
@@ -122,9 +138,7 @@ def _finish(space, rates, kill=None, reference=None) -> GeneratorMatrix:
 def build_sip(g: WeightedGraph, k: int, space: ConfigSpace | None = None) -> GeneratorMatrix:
     """Conservative k-particle inclusion generator on g."""
     space = space or enumerate_configs(g, k)
-    alpha = g.alpha
-    rates = _assemble(g, space, lambda occ, x, y, c: c * occ[:, x] * (alpha[y] + occ[:, y]))
-    return _finish(space, rates, reference=mu(g, space))
+    return _finish(space, _assemble(g, space, _sip_rate), reference=mu(g, space))
 
 
 def build_slow_fast(g: WeightedGraph, k: int, space: ConfigSpace | None = None):
@@ -135,8 +149,8 @@ def build_slow_fast(g: WeightedGraph, k: int, space: ConfigSpace | None = None):
     """
     space = space or enumerate_configs(g, k)
     alpha = g.alpha
-    a_rates = _assemble(g, space, lambda occ, x, y, c: c * occ[:, x] * alpha[y])
-    b_rates = _assemble(g, space, lambda occ, x, y, c: c * occ[:, x] * occ[:, y])
+    a_rates = _assemble(g, space, lambda eta_x, eta_y, alpha_y, c: c * eta_x * alpha_y)
+    b_rates = _assemble(g, space, lambda eta_x, eta_y, alpha_y, c: c * eta_x * eta_y)
     # A is reversible for k independent walkers: prod alpha_x^eta_x / eta_x!
     log_w = (space.occupations * np.log(alpha)).sum(axis=1) - gammaln(
         space.occupations + 1.0).sum(axis=1)
@@ -163,8 +177,7 @@ def build_killed(g: WeightedGraph, omega, k: int,
     if np.any(omega < 0):
         raise ValueError("negative killing rate")
     space = space or enumerate_configs(g, k)
-    alpha = g.alpha
-    rates = _assemble(g, space, lambda occ, x, y, c: c * occ[:, x] * (alpha[y] + occ[:, y]))
+    rates = _assemble(g, space, _sip_rate)
     kill = space.occupations @ omega
     return _finish(space, rates, kill=kill, reference=mu(g, space))
 
@@ -216,7 +229,7 @@ def dirichlet_form(L: GeneratorMatrix, f) -> float:
     scale = float(carrier.data.max(initial=0.0))
     asym = float(np.abs((carrier - carrier.T).data).max(initial=0.0))
     if scale > 0 and asym > 1e-8 * scale:
-        raise ValueError(f"generator is not reversible (residual {asym:.3e})")
+        raise CertificationError(f"generator is not reversible (residual {asym:.3e})")
     grads = f[carrier.col] - f[carrier.row]
     value = 0.5 * float(np.dot(carrier.data, grads**2))
     if L.kill is not None:

@@ -19,7 +19,13 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .configspace import ConfigSpace, SpaceCapExceeded, enumerate_configs
-from .generators import GeneratorMatrix, build_sip, build_slow_fast, combine_slow_fast
+from .generators import (
+    CertificationError,
+    GeneratorMatrix,
+    build_sip,
+    build_slow_fast,
+    combine_slow_fast,
+)
 from .graphs import WeightedGraph
 from .measures import WeightedMeasure, varsigma_rows
 from .spectral import expm_action, spectral_gap
@@ -95,7 +101,7 @@ def harmonic_projection(g: WeightedGraph, k: int,
         H = lu.solve(flux)
         residual = float(np.abs(trans @ H - flux).max(initial=0.0))
         if residual > ABSORB_RESIDUAL_TOL:
-            raise ValueError(f"absorption solve residual {residual:.3e} too large")
+            raise CertificationError(f"absorption solve residual {residual:.3e} too large")
         # probabilities: clamp roundoff, rows must sum to one
         H = np.clip(H, 0.0, 1.0)
         P[delta] = H
@@ -193,7 +199,7 @@ def lambda_km(chain: MetastableChain, m: int, tol: float = 1e-10) -> float:
     asym = float(np.abs(S - S.T).max(initial=0.0))
     scale = float(np.abs(S).max(initial=1.0))
     if asym > max(tol * scale, tol):
-        raise ValueError(f"block {m} symmetrization residual {asym:.3e} too large")
+        raise CertificationError(f"block {m} symmetrization residual {asym:.3e} too large")
     S = 0.5 * (S + S.T)
     return float(np.linalg.eigvalsh(S)[0])
 

@@ -2,13 +2,15 @@
 
 Reports serialize to JSON or TSV with a fixed field order and floats printed
 at 17 significant digits, so identical inputs produce byte-identical output
-and parsing is lossless.  Wall-clock timings are kept on the records but left
+and parsing is lossless.  Non-finite floats, which JSON cannot carry, are
+written as null.  Wall-clock timings are kept on the records but left
 out of the canonical emission; pass ``include_timing`` to serialize them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["CheckRecord", "ExperimentReport", "emit_report", "parse_report"]
@@ -43,7 +45,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format(value, ".17g")
+        return format(value, ".17g") if math.isfinite(value) else "null"
     if isinstance(value, int):
         return str(value)
     if value is None:
@@ -58,7 +60,7 @@ def _fmt(value) -> str:
     try:  # numpy scalars
         import numpy as np
         if isinstance(value, np.floating):
-            return format(float(value), ".17g")
+            return _fmt(float(value))
         if isinstance(value, (np.integer, np.bool_)):
             return _fmt(value.item())
     except ImportError:  # pragma: no cover

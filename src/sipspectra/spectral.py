@@ -3,7 +3,11 @@
 Reversible generators are symmetrized with the square root of the reference
 weights (taken in log space to survive tiny site weights), certified for
 symmetry, and diagonalized: densely up to a size cap, by shift-inverted
-Krylov iteration above it.
+Krylov iteration above it.  On the dense route the symmetrized matrix is
+scattered straight into an ndarray and symmetrized in numpy; only the
+iterative route builds it as a sparse matrix.  A failed certificate raises
+CertificationError; a dimension above the iterative cap raises
+SpaceCapExceeded.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ import scipy.sparse.linalg as spla
 from scipy.stats import poisson
 
 from .configspace import DEFAULT_CAP as DEFAULT_SPACE_CAP
-from .configspace import enumerate_configs
-from .generators import GeneratorMatrix, build_sip, dirichlet_form
+from .configspace import SpaceCapExceeded, enumerate_configs
+from .generators import CertificationError, GeneratorMatrix, build_sip, dirichlet_form
 from .graphs import WeightedGraph
 
 __all__ = [
@@ -76,24 +80,47 @@ class GapScan:
     monotone: bool             # gap_k <= gap_{k-1} + tol along the scan
 
 
-def symmetrized(L: GeneratorMatrix) -> tuple[sp.csr_matrix, float]:
-    """D^(1/2) (-L) D^(-1/2) with D = diag(reference weights).
+def symmetrized(L: GeneratorMatrix, dense: bool) -> tuple[np.ndarray | sp.csr_matrix, float]:
+    """D^(1/2) (-L) D^(-1/2) with D = diag(reference weights), certified.
 
     Returns the symmetric matrix together with the asymmetry residual, which
-    certifies the reversibility wiring before any eigensolve.
+    certifies the reversibility wiring before any eigensolve; a residual
+    above ASYMMETRY_TOL raises CertificationError.  ``dense`` is the caller's
+    choice of eigensolver: the dense route scatters the entries straight into
+    an ndarray and symmetrizes in numpy, the iterative route stays sparse.
+    Both give the same matrix bit for bit.
     """
     if L.reference is None:
         raise ValueError("spectrum needs a reference measure")
     lw = L.reference.log_weights
-    coo = L.rates.tocoo()
-    data = -coo.data * np.exp(0.5 * (lw[coo.row] - lw[coo.col]))
-    S = sp.coo_matrix((data, (coo.row, coo.col)), shape=coo.shape).tocsr()
-    S = S + sp.diags(-L.diagonal)
-    asym = float(np.abs((S - S.T).data).max(initial=0.0))
-    scale = float(np.abs(S.data).max(initial=1.0))
+    rates = L.rates  # canonical CSR: no duplicate entries
+    rows = np.repeat(np.arange(L.size, dtype=rates.indices.dtype), np.diff(rates.indptr))
+    cols = rates.indices
+    data = -rates.data * np.exp(0.5 * (lw[rows] - lw[cols]))
+    if dense:
+        S = np.zeros(rates.shape)
+        S[rows, cols] = data
+        S[np.diag_indices_from(S)] += -L.diagonal
+        # (S + S^T) / 2 and S - S^T differ from S only on the stored pattern
+        # and its mirror; the diagonal is its own mirror
+        entry, mirror = S[rows, cols], S[cols, rows]
+        asym = float(np.abs(entry - mirror).max(initial=0.0))
+        scale = max(float(np.abs(entry).max(initial=1.0)),
+                    float(np.abs(np.diagonal(S)).max(initial=1.0)))
+        half = (entry + mirror) * 0.5
+        S[rows, cols] = half
+        S[cols, rows] = half
+    else:
+        S = sp.coo_matrix((data, (rows, cols)), shape=rates.shape).tocsr()
+        S = S + sp.diags(-L.diagonal)
+        asym = float(np.abs((S - S.T).data).max(initial=0.0))
+        scale = float(np.abs(S.data).max(initial=1.0))
+        S = ((S + S.T) * 0.5).tocsr()
     relative = asym / max(scale, 1e-300)
-    S = (S + S.T) * 0.5
-    return S.tocsr(), relative
+    if relative > ASYMMETRY_TOL:
+        raise CertificationError(
+            f"symmetrized matrix asymmetry residual {relative:.3e} too large")
+    return S, relative
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -124,13 +151,13 @@ def spectrum(L: GeneratorMatrix, dense_cap: int = DENSE_CAP,
              iterative_cap: int = ITERATIVE_CAP, n_extremal: int = 8) -> Spectrum:
     """Spectrum of -L for a reversible (possibly killed) generator."""
     if L.size > iterative_cap:
-        raise ValueError(f"dimension {L.size} above the iterative-solver cap")
-    S, asym = symmetrized(L)
-    if asym > ASYMMETRY_TOL:
-        raise ValueError(f"symmetrized matrix asymmetry residual {asym:.3e} too large")
+        raise SpaceCapExceeded(
+            f"dimension {L.size} above the iterative-solver cap {iterative_cap}")
+    dense = L.size <= dense_cap
+    S, _ = symmetrized(L, dense)
     conservative = L.conservative
-    if L.size <= dense_cap:
-        eigenvalues = np.linalg.eigvalsh(S.toarray())
+    if dense:
+        eigenvalues = np.linalg.eigvalsh(S)
         partial = False
     else:
         eigenvalues = _bottom_eigenvalues(S, n_extremal)
@@ -145,18 +172,17 @@ def _extract_gap(eigenvalues: np.ndarray, conservative: bool) -> float:
     if not conservative:
         return float(eigenvalues[0])
     if abs(eigenvalues[0]) > 1e-8 * scale:
-        raise ValueError("conservative generator has no zero eigenvalue; wiring bug")
+        raise CertificationError("conservative generator has no zero eigenvalue; wiring bug")
     return float(eigenvalues[1])
 
 
 def bottom_eigenpairs(L: GeneratorMatrix, count: int = 2,
                       dense_cap: int = 1200) -> tuple[np.ndarray, np.ndarray]:
     """Lowest eigenpairs of -L, eigenvectors in the original coordinates."""
-    S, asym = symmetrized(L)
-    if asym > ASYMMETRY_TOL:
-        raise ValueError(f"symmetrized matrix asymmetry residual {asym:.3e} too large")
-    if L.size <= dense_cap:
-        vals, vecs = np.linalg.eigh(S.toarray())
+    dense = L.size <= dense_cap
+    S, _ = symmetrized(L, dense)
+    if dense:
+        vals, vecs = np.linalg.eigh(S)
         vals, vecs = vals[:count], vecs[:, :count]
     else:
         scale = float(np.abs(S.data).max(initial=1.0))
@@ -175,9 +201,7 @@ def spectral_gap(L: GeneratorMatrix, dense_cap: int = 1200) -> float:
     """Gap only; switches to the iterative bottom-of-spectrum path earlier."""
     if L.size <= dense_cap:
         return spectrum(L).gap
-    S, asym = symmetrized(L)
-    if asym > ASYMMETRY_TOL:
-        raise ValueError(f"symmetrized matrix asymmetry residual {asym:.3e} too large")
+    S, _ = symmetrized(L, False)
     bottom = _bottom_eigenvalues(S, 3)
     return _extract_gap(bottom, L.conservative)
 

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sipspectra import configspace
 from sipspectra.configspace import (
+    ConfigSpace,
     SpaceCapExceeded,
     enumerate_configs,
     move,
@@ -99,3 +101,40 @@ def test_cap_is_deterministic():
 def test_lexicographic_order():
     space = enumerate_configs(path_graph(2), 2)
     assert [space.config(i) for i in range(3)] == [(0, 2), (1, 1), (2, 0)]
+
+
+def test_graphs_with_equal_vertex_counts_share_read_only_tables():
+    a, b = enumerate_configs(path_graph(4), 3), enumerate_configs(complete(4), 3)
+    assert a.occupations is b.occupations
+    assert a.up is b.up
+    for table in (a.occupations, a.up):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def test_shared_addition_table_adds_one_particle():
+    enumerate_configs(complete(5), 3).up  # the table another graph built
+    space = enumerate_configs(path_graph(5), 3)
+    lower = enumerate_configs(path_graph(5), 2).occupations
+    for x in range(5):
+        for i, row in enumerate(lower):
+            raised = row.copy()
+            raised[x] += 1
+            assert space.up[x, i] == space.index_of(raised)
+
+
+def test_addition_table_ranked_once_per_shape(monkeypatch):
+    calls = []
+    rank_rows = ConfigSpace.rank_rows
+
+    def counting(self, occ):
+        calls.append(self.k)
+        return rank_rows(self, occ)
+
+    monkeypatch.setattr(ConfigSpace, "rank_rows", counting)
+    configspace._shape.cache_clear()
+    for _ in range(3):
+        for g in (path_graph(6), torus(6, 1), complete(6)):
+            enumerate_configs(g, 3).up
+    assert 0 < len(calls) <= 6

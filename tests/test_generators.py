@@ -3,6 +3,7 @@ import pytest
 
 from sipspectra.configspace import enumerate_configs
 from sipspectra.generators import (
+    CertificationError,
     build_killed,
     build_lookdown,
     build_sip,
@@ -165,7 +166,7 @@ def test_dirichlet_form_killed_and_nonreversible_error():
         assert abs(dirichlet_form(Lk, f) - direct) < 1e-12
     bad = build_sip(g, 2)
     bad.reference = WeightedMeasure(np.array([0.0, -1.0, -2.0]), normalized=False)
-    with pytest.raises(ValueError, match="not reversible"):
+    with pytest.raises(CertificationError, match="not reversible"):
         dirichlet_form(bad, np.arange(3.0))
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sipspectra.generators import build_sip
+from sipspectra import metastable
+from sipspectra.generators import CertificationError, build_sip
 from sipspectra.graphs import complete, h_shape, path_graph, torus
 from sipspectra.metastable import (
     build_chain,
@@ -114,6 +115,19 @@ def test_lambda_values():
     assert w_k(chain) == pytest.approx(1.0)
     assert math.isinf(lambda_km(build_chain(complete(3), 2), 2))
     assert single_stack_gap(chain) == pytest.approx(1.0)
+
+
+def test_residual_checks_raise_certification_errors(monkeypatch):
+    chain = build_chain(path_graph(5), 3)
+    block = chain.blocks[2]
+    off = np.argwhere((block.matrix != 0.0) & ~np.eye(block.local.size, dtype=bool))
+    i, j = off[0]
+    block.matrix[i, j] *= 1.5  # one rate off: the block is not reversible
+    with pytest.raises(CertificationError, match="symmetrization residual"):
+        lambda_km(chain, 2)
+    monkeypatch.setattr(metastable, "ABSORB_RESIDUAL_TOL", -1.0)
+    with pytest.raises(CertificationError, match="absorption solve residual"):
+        harmonic_projection(path_graph(3), 2)
 
 
 def test_lambda_collapse_and_ordering():

@@ -3,21 +3,24 @@
 Random connected graphs with up to five vertices, conductances in [0.5, 2],
 site weights log-uniform on [0.05, 3] and up to three particles.  The rates of
 ``build_sip`` are compared with ``==`` against a brute-force assembly that
-enumerates, indexes and applies every jump with plain tuples and a dict.
+enumerates, indexes and applies every jump with plain tuples and a dict.  The
+dense and sparse routes of ``symmetrized`` must agree bit for bit.
 """
 
+import dataclasses
 import math
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sipspectra.configspace import enumerate_configs
-from sipspectra.generators import build_sip
+from sipspectra.generators import CertificationError, build_killed, build_sip
 from sipspectra.graphs import WeightedGraph
 from sipspectra.intertwiners import adjointness_residual, consistency_residual
-from sipspectra.spectral import spectrum
+from sipspectra.spectral import spectrum, symmetrized
 
 
 @st.composite
@@ -70,3 +73,21 @@ def test_addition_table_and_generator_on_random_graphs(g, k):
         assert consistency_residual(g, k) < 1e-11
         gap_prev = spectrum(build_sip(g, k - 1)).gap
         assert spectrum(L).gap <= gap_prev + 1e-10 * max(gap_prev, 1.0)
+
+
+@given(_graphs(), st.integers(0, 3), st.data())
+@settings(max_examples=40, deadline=None)
+def test_dense_and_sparse_symmetrization_agree_on_random_graphs(g, k, data):
+    omega = np.array([data.draw(st.sampled_from((0.0, 0.3, 1.7))) for _ in range(g.n)])
+    for L in (build_sip(g, k), build_killed(g, omega, k)):
+        S, resid = symmetrized(L, True)
+        S_sparse, resid_sparse = symmetrized(L, False)
+        assert np.array_equal(S, S_sparse.toarray())
+        assert resid == resid_sparse
+        if L.rates.nnz == 0:
+            continue
+        bad = dataclasses.replace(L, rates=L.rates.copy())
+        bad.rates.data[data.draw(st.integers(0, L.rates.nnz - 1))] *= 1.5
+        for dense in (True, False):
+            with pytest.raises(CertificationError, match="asymmetry"):
+                symmetrized(bad, dense)

@@ -1,10 +1,15 @@
+import functools
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from sipspectra import cli, spectral
 from sipspectra.cli import main
+from sipspectra.generators import build_sip
 from sipspectra.reports import CheckRecord, ExperimentReport, emit_report, parse_report
 
 
@@ -45,6 +50,21 @@ def test_floats_at_full_precision():
     assert format(2.0**-52, ".17g") in text
     parsed = json.loads(text)
     assert parsed["records"][1]["computed"]["value"] == 2.0**-52
+
+
+def test_non_finite_floats_are_written_as_null():
+    report = ExperimentReport("demo", {"eps": [0.1, math.inf]})
+    report.add(CheckRecord(
+        name="edges", reference="non-finite values",
+        computed={"a": math.inf, "b": -math.inf, "c": math.nan,
+                  "d": np.float64(-np.inf), "e": np.float32(np.nan), "f": [1.5, math.nan]},
+        target="valid JSON", tolerance=1e-8, passed=False))
+    text = emit_report(report)
+    assert "inf" not in text.lower() and "nan" not in text.lower()
+    back = parse_report(text)
+    assert back.inputs == {"eps": [0.1, None]}
+    assert back.records[0].computed == {"a": None, "b": None, "c": None,
+                                        "d": None, "e": None, "f": [1.5, None]}
 
 
 def test_tsv_schema():
@@ -102,6 +122,23 @@ def test_cli_degenerate_ranges_are_input_errors(argv, capsys):
 def test_cli_budget_exceeded():
     assert main(["torus", "--d", "2", "--n-range", "6:10",
                  "--budget", "50"]) == 4
+
+
+def test_cli_failed_certificate_exits_3(monkeypatch, capsys):
+    def broken_sip(g, k, space=None):
+        L = build_sip(g, k, space)
+        L.rates.data[0] *= 1.5  # one rate off: the generator is not reversible
+        return L
+
+    monkeypatch.setattr(cli, "build_sip", broken_sip)
+    assert main(["spectrum", "--family", "path(3)", "--k", "2"]) == 3
+    assert capsys.readouterr().err.startswith("certificate failed:")
+
+
+def test_cli_spectrum_above_the_iterative_cap_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "spectrum", functools.partial(spectral.spectrum, iterative_cap=5))
+    assert main(["spectrum", "--family", "path(3)", "--k", "2"]) == 4  # 6 states
+    assert capsys.readouterr().err.startswith("budget exceeded:")
 
 
 def test_cli_byte_identical_reports(tmp_path):

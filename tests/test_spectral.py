@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from sipspectra.generators import build_killed, build_sip
+from sipspectra import spectral
+from sipspectra.configspace import SpaceCapExceeded
+from sipspectra.generators import CertificationError, build_killed, build_sip
 from sipspectra.graphs import complete, h_shape, path_graph, torus
 from sipspectra.spectral import (
     bottom_eigenpairs,
@@ -61,8 +63,50 @@ def test_torus_walk_gap_fourier(n):
 def test_symmetrization_residual_certificate():
     for g in (path_graph(3, alpha=(0.5, 1.0, 2.0)), h_shape(alpha=0.3)):
         for k in (2, 3):
-            _, resid = symmetrized(build_sip(g, k))
-            assert resid < 1e-12
+            for dense in (True, False):
+                _, resid = symmetrized(build_sip(g, k), dense)
+                assert resid < 1e-12
+
+
+def test_dense_symmetrization_matches_sparse_off_a_symmetric_pattern():
+    L = build_sip(path_graph(3), 2)
+    rates = L.rates.tolil()
+    rates[0, 5] = 1e-12  # one-way rate, within the asymmetry tolerance
+    L = dataclasses.replace(L, rates=rates.tocsr())
+    S, resid = symmetrized(L, True)
+    S_sparse, resid_sparse = symmetrized(L, False)
+    assert 0.0 < resid == resid_sparse
+    assert np.array_equal(S, S_sparse.toarray())
+    assert S[0, 5] == S[5, 0] != 0.0
+
+
+def test_one_symmetrization_per_eigensolve(monkeypatch):
+    routes = []
+
+    def counting(L, dense):
+        routes.append(dense)
+        return symmetrized(L, dense)
+
+    monkeypatch.setattr(spectral, "symmetrized", counting)
+    L = build_sip(path_graph(4), 2)  # 10 states
+    for dense_cap, dense in ((L.size, True), (L.size - 1, False)):
+        for solve in (spectrum, spectral_gap, bottom_eigenpairs):
+            routes.clear()
+            solve(L, dense_cap=dense_cap)
+            assert routes == [dense]
+
+
+def test_spectrum_above_the_iterative_cap_is_a_budget_error():
+    L = build_sip(path_graph(3), 2)
+    with pytest.raises(SpaceCapExceeded, match="iterative-solver cap"):
+        spectrum(L, iterative_cap=L.size - 1)
+
+
+def test_conservative_spectrum_without_zero_fails_its_certificate():
+    L = build_sip(path_graph(3), 2)
+    L.diagonal = L.diagonal - 1.0  # not a generator: rows no longer sum to zero
+    with pytest.raises(CertificationError, match="no zero eigenvalue"):
+        spectrum(L)
 
 
 def test_iterative_matches_dense():

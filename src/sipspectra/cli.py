@@ -409,7 +409,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify-all", help="run the acceptance criteria")
     _add_common(p, graph=False)
-    p.add_argument("--suite", default="standard", choices=("standard",))
     p.add_argument("--only", help="comma-separated criterion numbers")
     p.set_defaults(func=_cmd_verify_all)
 

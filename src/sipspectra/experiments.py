@@ -19,7 +19,7 @@ from .configspace import SpaceCapExceeded
 from .generators import build_sip
 from .graphs import GraphMetrics, WeightedGraph, metrics, torus
 from .metastable import build_chain, lambda_km
-from .spectral import _start_vector, spectral_gap
+from .spectral import _bottom, _bottom_few_dense, spectral_gap
 
 __all__ = [
     "TorusRow",
@@ -82,12 +82,9 @@ def difference_walk_rate(n: int, d: int) -> float:
     if keep.size == 0:
         raise ValueError(f"no separated states on the torus of size {n}^{d}")
     off = _separation_jumps(n, d)[keep][:, keep]
-    neg = sp.diags(np.full(keep.size, 4.0 * d)) - off
-    if keep.size <= 400:
-        return float(np.linalg.eigvalsh(neg.toarray())[0])
-    val = spla.eigsh(neg, k=1, sigma=0.0, which="LM", v0=_start_vector(keep.size),
-                     return_eigenvectors=False)
-    return float(val[0])
+    neg = (sp.diags(np.full(keep.size, 4.0 * d)) - off).tocsr()  # symmetric already
+    S = neg.toarray() if _bottom_few_dense(keep.size, 1) else neg
+    return float(_bottom(S, 1)[0])
 
 
 def _hitting_times_to_origin(n: int, d: int) -> np.ndarray:

@@ -5,7 +5,9 @@ pure-interaction part.  Sending the diffusivity to zero thermalizes the fast
 part instantly: one slow jump followed by interaction-absorption.  The limit
 chain lives on the absorbing set, is block-triangular in the number of
 stacks, and its transient blocks are self-adjoint for an explicit product
-weight.
+weight.  Block eigenvalues come from ``spectral``'s one solver, each block
+posed as a generator killed by its leak to fewer stacks and certified there
+(relative asymmetry below 1e-10; correctly wired blocks measure 2.2e-16).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .generators import (
 )
 from .graphs import WeightedGraph
 from .measures import WeightedMeasure, varsigma_rows
-from .spectral import expm_action, spectral_gap
+from .spectral import expm_action, spectral_gap, spectrum
 from .intertwiners import annihilation
 
 __all__ = [
@@ -181,41 +183,35 @@ def build_chain(g: WeightedGraph, k: int,
                            projection=proj)
 
 
-def _block_weights(chain: MetastableChain, block: StackBlock) -> np.ndarray:
+def _block_generator(chain: MetastableChain, block: StackBlock) -> GeneratorMatrix:
+    """The block as a generator: its rates and diagonal, its leak to fewer
+    stacks as killing and varsigma as reference.  The single-stack block is
+    closed; its row sums are rounding, so it carries no killing."""
     occ = chain.space.occupations[chain.omega[block.local]]
-    return varsigma_rows(chain.space.graph.alpha, occ)
+    w = varsigma_rows(chain.space.graph.alpha, occ)
+    off = np.where(np.eye(block.local.size, dtype=bool), 0.0, block.matrix)
+    return GeneratorMatrix(
+        space=None,
+        rates=sp.csr_matrix(off),
+        diagonal=np.diag(block.matrix).copy(),
+        kill=None if block.m == 1 else -block.matrix.sum(axis=1),
+        reference=WeightedMeasure(log_weights=np.log(w), normalized=False),
+    )
 
 
-def lambda_km(chain: MetastableChain, m: int, tol: float = 1e-10) -> float:
+def lambda_km(chain: MetastableChain, m: int) -> float:
     """Smallest eigenvalue of the negated m-stack block, +inf when empty."""
     if m < 2:
         raise ValueError("transient sectors start at two stacks")
     block = chain.blocks.get(m)
     if block is None:
         return math.inf
-    w = _block_weights(chain, block)
-    half = 0.5 * np.log(w)
-    S = -block.matrix * np.exp(half[:, None] - half[None, :])
-    asym = float(np.abs(S - S.T).max(initial=0.0))
-    scale = float(np.abs(S).max(initial=1.0))
-    if asym > max(tol * scale, tol):
-        raise CertificationError(f"block {m} symmetrization residual {asym:.3e} too large")
-    S = 0.5 * (S + S.T)
-    return float(np.linalg.eigvalsh(S)[0])
+    return spectrum(_block_generator(chain, block)).gap
 
 
 def single_stack_gap(chain: MetastableChain) -> float:
     """Gap of the single-stack walk (the recurrent part of the chain)."""
-    block = chain.blocks[1]
-    w = _block_weights(chain, block)
-    ref = WeightedMeasure(log_weights=np.log(w), normalized=False)
-    gen = GeneratorMatrix(
-        space=None,
-        rates=sp.csr_matrix(np.where(np.eye(block.local.size, dtype=bool), 0.0, block.matrix)),
-        diagonal=np.diag(block.matrix).copy(),
-        reference=ref,
-    )
-    return spectral_gap(gen)
+    return spectral_gap(_block_generator(chain, chain.blocks[1]))
 
 
 def w_k(chain: MetastableChain) -> float:

@@ -20,7 +20,7 @@ from .configspace import ConfigSpace, enumerate_configs
 from .generators import GeneratorMatrix, build_killed, open_generator_apply
 from .graphs import WeightedGraph
 from .measures import log_partition, mu, negbin_tail_cutoff
-from .spectral import expm_action, spectral_gap, spectrum
+from .spectral import bottom_eigenpairs, expm_action, spectral_gap, spectrum
 
 __all__ = [
     "meixner_d",
@@ -102,12 +102,8 @@ def killed_eigenpairs(g: WeightedGraph, omega, k: int,
     """All eigenpairs of the negated killed generator, original coordinates."""
     space = space or enumerate_configs(g, k)
     L = build_killed(g, omega, k, space)
-    lw = L.reference.log_weights
-    half = np.exp(0.5 * lw)
-    neg = -L.as_dense()
-    S = half[:, None] * neg * (1.0 / half)[None, :]
-    vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
-    return vals, vecs / half[:, None], space
+    vals, vecs = bottom_eigenpairs(L, L.size)
+    return vals, vecs, space
 
 
 def level_bottoms(g: WeightedGraph, omega, k_max: int) -> list[float]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sipspectra import spectral
 from sipspectra.acceptance import MIXED_PATTERN
 from sipspectra.experiments import (
     _separation_jumps,
@@ -24,13 +25,13 @@ def test_separation_jumps_rates_and_escape_time(d):
 
 
 def test_difference_walk_rate_iterative_is_reproducible():
-    # 21^2 sites less the 5-site contact zone: 436 states, the eigsh branch
-    n, d = 21, 2
+    # 35^2 sites less the 5-site contact zone: 1,220 states, the eigsh branch
+    n, d = 35, 2
     first = difference_walk_rate(n, d)
     assert difference_walk_rate(n, d) == first
     coords = np.indices((n,) * d).reshape(d, -1).T
     keep = np.nonzero(np.minimum(coords, n - coords).sum(axis=1) >= 2)[0]
-    assert keep.size > 400
+    assert keep.size > spectral.BOTTOM_DENSE_CAP
     neg = 4.0 * d * np.eye(keep.size) - _separation_jumps(n, d)[keep][:, keep].toarray()
     assert abs(first - np.linalg.eigvalsh(neg)[0]) < 1e-10
 

@@ -5,7 +5,7 @@ import pytest
 
 from sipspectra import metastable
 from sipspectra.generators import CertificationError, build_sip
-from sipspectra.graphs import complete, h_shape, path_graph, torus
+from sipspectra.graphs import WeightedGraph, complete, h_shape, path_graph, torus
 from sipspectra.metastable import (
     build_chain,
     harmonic_projection,
@@ -117,13 +117,23 @@ def test_lambda_values():
     assert single_stack_gap(chain) == pytest.approx(1.0)
 
 
+def test_single_stack_gap_ignores_a_rounding_leak():
+    # these conductances leave row sums of -1e-16 in the closed single-stack
+    # block; read as killing, they would turn the gap into the zero mode
+    c = np.array([[0.0, 0.7, 0.0], [0.7, 0.0, 1.3], [0.0, 1.3, 0.0]])
+    chain = build_chain(WeightedGraph(("a", "b", "c"), c, np.array([0.5, 1.0, 2.0])), 2)
+    assert np.any(chain.blocks[1].matrix.sum(axis=1) < 0.0)
+    walk = np.sort(np.linalg.eigvals(-chain.blocks[1].matrix).real)
+    assert single_stack_gap(chain) == pytest.approx(walk[1], rel=1e-10)
+
+
 def test_residual_checks_raise_certification_errors(monkeypatch):
     chain = build_chain(path_graph(5), 3)
     block = chain.blocks[2]
     off = np.argwhere((block.matrix != 0.0) & ~np.eye(block.local.size, dtype=bool))
     i, j = off[0]
     block.matrix[i, j] *= 1.5  # one rate off: the block is not reversible
-    with pytest.raises(CertificationError, match="symmetrization residual"):
+    with pytest.raises(CertificationError, match="asymmetry residual"):
         lambda_km(chain, 2)
     monkeypatch.setattr(metastable, "ABSORB_RESIDUAL_TOL", -1.0)
     with pytest.raises(CertificationError, match="absorption solve residual"):

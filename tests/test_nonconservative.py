@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sipspectra import nonconservative
 from sipspectra.configspace import enumerate_configs
+from sipspectra.generators import CertificationError, build_killed
 from sipspectra.graphs import WeightedGraph, path_graph
 from sipspectra.nonconservative import (
     build_absorbing_chain,
@@ -145,6 +147,17 @@ def test_eigen_lift_residuals():
     with pytest.raises(ValueError, match="not an eigenvector"):
         eigen_lift_residual(g, omega, 0.2, 0.2, 2, vals[0] + 0.5,
                             np.ones(enumerate_configs(g, 2).size))
+
+
+def test_killed_eigenpairs_certify_the_symmetrization(monkeypatch):
+    def broken_killed(g, omega, k, space=None):
+        L = build_killed(g, omega, k, space)
+        L.rates.data[0] *= 1.5  # one rate off: the generator is not reversible
+        return L
+
+    monkeypatch.setattr(nonconservative, "build_killed", broken_killed)
+    with pytest.raises(CertificationError, match="asymmetry"):
+        killed_eigenpairs(path_graph(3), (1.0, 0.0, 0.0), 2)
 
 
 def test_scalar_level_lift_is_exact():

@@ -4,7 +4,8 @@ Random connected graphs with up to five vertices, conductances in [0.5, 2],
 site weights log-uniform on [0.05, 3] and up to three particles.  The rates of
 ``build_sip`` are compared with ``==`` against a brute-force assembly that
 enumerates, indexes and applies every jump with plain tuples and a dict.  The
-dense and sparse routes of ``symmetrized`` must agree bit for bit.
+dense and sparse routes of ``symmetrized`` must agree bit for bit, and the
+iterative bottom of the spectrum must match the dense one.
 """
 
 import dataclasses
@@ -16,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sipspectra import spectral
 from sipspectra.configspace import enumerate_configs
 from sipspectra.generators import CertificationError, build_killed, build_sip
 from sipspectra.graphs import WeightedGraph
 from sipspectra.intertwiners import adjointness_residual, consistency_residual
-from sipspectra.spectral import spectrum, symmetrized
+from sipspectra.spectral import bottom_eigenpairs, spectral_gap, spectrum, symmetrized
 
 
 @st.composite
@@ -91,3 +93,19 @@ def test_dense_and_sparse_symmetrization_agree_on_random_graphs(g, k, data):
         for dense in (True, False):
             with pytest.raises(CertificationError, match="asymmetry"):
                 symmetrized(bad, dense)
+
+
+@given(_graphs(), st.integers(1, 3), st.data())
+@settings(max_examples=40, deadline=None)
+def test_iterative_bottom_matches_dense_on_random_graphs(g, k, data):
+    omega = np.array([data.draw(st.sampled_from((0.0, 0.3, 1.7))) for _ in range(g.n)])
+    for L in (build_sip(g, k), build_killed(g, omega, k)):
+        dense_gap = spectral_gap(L)
+        dense_vals, _ = bottom_eigenpairs(L, 2)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(spectral, "BOTTOM_DENSE_CAP", 0)
+            iter_gap = spectral_gap(L)
+            iter_vals, _ = bottom_eigenpairs(L, 2)
+        assert abs(iter_gap - dense_gap) <= 1e-10 * max(1.0, abs(dense_gap))
+        assert np.all(np.abs(iter_vals - dense_vals)
+                      <= 1e-10 * np.maximum(1.0, np.abs(dense_vals)))

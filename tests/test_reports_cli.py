@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import subprocess
@@ -136,7 +135,7 @@ def test_cli_failed_certificate_exits_3(monkeypatch, capsys):
 
 
 def test_cli_spectrum_above_the_iterative_cap_exits_4(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "spectrum", functools.partial(spectral.spectrum, iterative_cap=5))
+    monkeypatch.setattr(spectral, "ITERATIVE_CAP", 5)
     assert main(["spectrum", "--family", "path(3)", "--k", "2"]) == 4  # 6 states
     assert capsys.readouterr().err.startswith("budget exceeded:")
 

@@ -8,6 +8,8 @@ from sipspectra import spectral
 from sipspectra.configspace import SpaceCapExceeded
 from sipspectra.generators import CertificationError, build_killed, build_sip
 from sipspectra.graphs import complete, h_shape, path_graph, torus
+from sipspectra.metastable import build_chain, lambda_km
+from sipspectra.nonconservative import killed_eigenpairs
 from sipspectra.spectral import (
     bottom_eigenpairs,
     expm_action,
@@ -89,17 +91,55 @@ def test_one_symmetrization_per_eigensolve(monkeypatch):
 
     monkeypatch.setattr(spectral, "symmetrized", counting)
     L = build_sip(path_graph(4), 2)  # 10 states
-    for dense_cap, dense in ((L.size, True), (L.size - 1, False)):
-        for solve in (spectrum, spectral_gap, bottom_eigenpairs):
+    chain = build_chain(path_graph(5), 3)
+    block = chain.blocks[2].local.size
+    requests = [(L.size, lambda: spectrum(L)),
+                (L.size, lambda: spectral_gap(L)),
+                (L.size, lambda: bottom_eigenpairs(L)),
+                (block, lambda: lambda_km(chain, 2))]
+    for size, request in requests:
+        for cap, dense in ((size, True), (size - 1, False)):
+            monkeypatch.setattr(spectral, "DENSE_CAP", cap)
+            monkeypatch.setattr(spectral, "BOTTOM_DENSE_CAP", cap)
             routes.clear()
-            solve(L, dense_cap=dense_cap)
+            request()
             assert routes == [dense]
+    # every eigenpair is asked for, so the route is dense below any cap
+    monkeypatch.setattr(spectral, "BOTTOM_DENSE_CAP", 0)
+    routes.clear()
+    killed_eigenpairs(path_graph(4), (1.0, 0.0, 0.0, 0.5), 2)
+    assert routes == [True]
 
 
-def test_spectrum_above_the_iterative_cap_is_a_budget_error():
+def test_all_but_one_eigenpairs_are_dense_at_any_size(monkeypatch):
+    monkeypatch.setattr(spectral, "BOTTOM_DENSE_CAP", 0)
+    L = build_killed(path_graph(4), (1.0, 0.0, 0.0, 0.5), 2)
+    reference = spectrum(L).eigenvalues
+    for count in (L.size - 1, L.size):
+        vals, vecs = bottom_eigenpairs(L, count)
+        assert vecs.shape == (L.size, count)
+        np.testing.assert_allclose(vals, reference[:count], rtol=1e-12)
+        assert np.abs(-L.as_dense() @ vecs - vecs * vals).max() < 1e-12
+
+
+def test_spectrum_above_the_iterative_cap_is_a_budget_error(monkeypatch):
     L = build_sip(path_graph(3), 2)
+    monkeypatch.setattr(spectral, "ITERATIVE_CAP", L.size - 1)
     with pytest.raises(SpaceCapExceeded, match="iterative-solver cap"):
-        spectrum(L, iterative_cap=L.size - 1)
+        spectrum(L)
+
+
+def test_asymmetry_between_the_old_and_new_tolerance_is_rejected(monkeypatch):
+    L = build_sip(path_graph(3, alpha=(0.5, 1.0, 2.0)), 2)
+    bad = dataclasses.replace(L, rates=L.rates.copy())
+    bad.rates.data[np.argmax(bad.rates.data)] *= 1.0 + 5e-9  # one direction only
+    for dense in (True, False):
+        with pytest.raises(CertificationError, match="asymmetry"):
+            symmetrized(bad, dense)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "ASYMMETRY_TOL", 1e-8)
+            _, resid = symmetrized(bad, dense)
+        assert 1e-10 < resid < 1e-8
 
 
 def test_conservative_spectrum_without_zero_fails_its_certificate():
@@ -109,11 +149,12 @@ def test_conservative_spectrum_without_zero_fails_its_certificate():
         spectrum(L)
 
 
-def test_iterative_matches_dense():
+def test_iterative_matches_dense(monkeypatch):
     g = torus(5, 1, alpha=0.4)
     L = build_sip(g, 3)
     dense_gap = spectrum(L).gap
-    iter_gap = spectral_gap(L, dense_cap=3)
+    monkeypatch.setattr(spectral, "BOTTOM_DENSE_CAP", 3)
+    iter_gap = spectral_gap(L)
     assert abs(dense_gap - iter_gap) < 1e-10 * max(dense_gap, 1.0)
 
 

@@ -173,7 +173,8 @@ def _cmd_metastable(args) -> int:
         target="informational", tolerance=0.0, passed=True))
     if args.k >= 2:
         t0 = time.perf_counter()
-        resid = metastable.restricted_annihilation_residual(g, args.k)
+        resid = metastable.restricted_annihilation_residual(g, args.k,
+                                                            chain_k=chain)
         report.add(CheckRecord(
             name="restricted_intertwining",
             reference="limit chain commutes with particle removal on the "
@@ -184,7 +185,7 @@ def _cmd_metastable(args) -> int:
     if args.eps:
         eps_grid = tuple(float(e) for e in args.eps.split(","))
         rows_sf = metastable.slow_fast_convergence(g, args.k, t=1.0,
-                                                   eps_grid=eps_grid)
+                                                   eps_grid=eps_grid, chain=chain)
         report.add(CheckRecord(
             name="slow_fast_convergence",
             reference="rescaled gaps and semigroups approach the limit chain",

@@ -16,10 +16,10 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .configspace import ConfigSpace, enumerate_configs
-from .generators import build_sip, dirichlet_form
+from .generators import CertificationError, build_sip, dirichlet_form
 from .graphs import WeightedGraph
 from .measures import mu
-from .spectral import spectrum
+from .spectral import ASYMMETRY_TOL, spectrum
 
 __all__ = [
     "annihilation",
@@ -114,7 +114,7 @@ def kernel_basis(g: WeightedGraph, k: int,
     top = diag.max(initial=0.0)
     rank = int(np.sum(diag > RANK_TOL * top))
     if rank != space_prev.size:
-        raise ValueError(
+        raise CertificationError(
             f"particle-addition operator has numerical rank {rank}, "
             f"expected {space_prev.size}; assembly bug"
         )
@@ -135,7 +135,9 @@ def gap_induction_check(g: WeightedGraph, k: int) -> InductionReport:
 
     Kernel functions are mean-zero, so their variance is the squared norm and
     the quotient restricted to the kernel is the bilinear form in the
-    orthonormal kernel basis.
+    orthonormal kernel basis.  The form must be symmetric: its relative
+    asymmetry is certified below ASYMMETRY_TOL (CertificationError otherwise)
+    before the rounding residue is averaged away.
     """
     if k < 2:
         raise ValueError("induction needs k >= 2")
@@ -147,6 +149,11 @@ def gap_induction_check(g: WeightedGraph, k: int) -> InductionReport:
     neg_l = -L_k.as_dense()
     w = L_k.reference.weights
     form = basis.T @ (w[:, None] * (neg_l @ basis))
+    asym = (float(np.abs(form - form.T).max(initial=0.0))
+            / max(float(np.abs(form).max(initial=0.0)), 1e-300))
+    if asym > ASYMMETRY_TOL:
+        raise CertificationError(
+            f"kernel-restricted form asymmetry residual {asym:.3e} too large")
     form = 0.5 * (form + form.T)
     kernel_min = float(np.linalg.eigvalsh(form)[0])
     predicted = min(gap_prev, kernel_min)

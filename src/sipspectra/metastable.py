@@ -99,7 +99,8 @@ def harmonic_projection(g: WeightedGraph, k: int,
         try:
             lu = spla.splu(trans)
         except RuntimeError as exc:
-            raise ValueError(f"singular transient block; assembly bug ({exc})") from None
+            raise CertificationError(
+                f"singular transient block; assembly bug ({exc})") from None
         H = lu.solve(flux)
         residual = float(np.abs(trans @ H - flux).max(initial=0.0))
         if residual > ABSORB_RESIDUAL_TOL:
@@ -298,14 +299,15 @@ def slow_fast_convergence(g: WeightedGraph, k: int, t: float,
     limit_vals = chain.projection.matrix @ expm_action(m_gen, t, panel[chain.omega])
     indicator = np.zeros(space.size)
     indicator[space.omega] = 1.0
+    columns = np.column_stack([panel, indicator])
     rows = []
     for eps in eps_grid:
         gen = combine_slow_fast(A, B, eps)
-        evolved = expm_action(gen, t, panel)
-        deviation = float(np.abs(evolved - limit_vals).max())
+        evolved = expm_action(gen, t, columns)
+        mass = evolved[:, -1]
+        deviation = float(np.abs(evolved[:, :-1] - limit_vals).max())
         gap_eps = spectral_gap(build_sip(g.scaled_alpha(eps), k, space))
         ratio = gap_eps / eps
-        mass = expm_action(gen, t, indicator)
         rows.append(SlowFastRow(
             eps=float(eps),
             semigroup_deviation=deviation,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from sipspectra import intertwiners
 from sipspectra.configspace import enumerate_configs
-from sipspectra.generators import build_sip
+from sipspectra.generators import CertificationError, GeneratorMatrix, build_sip
 from sipspectra.graphs import complete, path_graph, torus
 from sipspectra.intertwiners import (
     adjointness_residual,
@@ -120,6 +121,33 @@ def test_gap_induction():
     # small weights: equality of the two sides of the induction
     rep = gap_induction_check(path_graph(3, alpha=0.2), 2)
     assert rep.induction_residual < 1e-8
+
+
+def test_rank_deficient_addition_operator_is_a_certificate_failure(monkeypatch):
+    creation = intertwiners.creation
+
+    def rank_deficient(*args, **kwargs):
+        out = creation(*args, **kwargs).tolil()
+        out[0, :] = 0.0  # one row lost: the addition operator drops rank
+        return out.tocsr()
+
+    monkeypatch.setattr(intertwiners, "creation", rank_deficient)
+    with pytest.raises(CertificationError, match="numerical rank"):
+        kernel_basis(path_graph(3), 2)
+
+
+def test_asymmetric_kernel_form_is_a_certificate_failure(monkeypatch):
+    as_dense = GeneratorMatrix.as_dense
+
+    def one_rate_off(self):
+        out = as_dense(self)
+        i, j = np.argwhere(~np.eye(len(out), dtype=bool) & (out != 0.0))[0]
+        out[i, j] *= 1.5  # the form is no longer symmetric
+        return out
+
+    monkeypatch.setattr(GeneratorMatrix, "as_dense", one_rate_off)
+    with pytest.raises(CertificationError, match="form asymmetry"):
+        gap_induction_check(path_graph(3), 2)
 
 
 def test_complete_graph_checks():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sipspectra import metastable
-from sipspectra.generators import CertificationError, build_sip
+from sipspectra import cli, metastable
+from sipspectra.configspace import enumerate_configs
+from sipspectra.generators import CertificationError, build_sip, build_slow_fast
 from sipspectra.graphs import WeightedGraph, complete, h_shape, path_graph, torus
 from sipspectra.metastable import (
     build_chain,
@@ -138,6 +139,34 @@ def test_residual_checks_raise_certification_errors(monkeypatch):
     monkeypatch.setattr(metastable, "ABSORB_RESIDUAL_TOL", -1.0)
     with pytest.raises(CertificationError, match="absorption solve residual"):
         harmonic_projection(path_graph(3), 2)
+
+
+def test_singular_transient_block_is_a_certificate_failure():
+    g = path_graph(3)
+    space = enumerate_configs(g, 2)
+    _, B = build_slow_fast(g, 2, space)
+    rates = B.rates.tolil()
+    row = space.delta[0]
+    rates[row, :] = 0.0  # a transient state that never moves
+    B.rates = rates.tocsr()
+    B.diagonal[row] = 0.0
+    with pytest.raises(CertificationError, match="singular transient block"):
+        harmonic_projection(g, 2, space, B)
+
+
+def test_metastable_command_builds_each_limit_chain_once(monkeypatch, capsys):
+    calls = []
+    build = metastable.build_chain
+
+    def counted(g, k, space=None):
+        calls.append(k)
+        return build(g, k, space)
+
+    monkeypatch.setattr(metastable, "build_chain", counted)
+    code = cli.main(["metastable", "--family", "h_shape", "--k", "3", "--eps", "0.1"])
+    assert code == cli.EXIT_PASS
+    assert sorted(calls) == [2, 3]
+    assert '"slow_fast_convergence"' in capsys.readouterr().out
 
 
 def test_lambda_collapse_and_ordering():

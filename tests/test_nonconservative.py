@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sipspectra import nonconservative
+from sipspectra import cli, nonconservative
 from sipspectra.configspace import enumerate_configs
 from sipspectra.generators import CertificationError, build_killed
 from sipspectra.graphs import WeightedGraph, path_graph
@@ -197,6 +197,44 @@ def test_survival_domination():
     rep1 = survival_domination(g, (1.0, 0.0), 1, (0.5, 1.0))
     assert rep1.dominated
     np.testing.assert_allclose(rep1.many_particle, rep1.one_particle, atol=1e-12)
+
+
+def test_extinction_slope_when_the_killed_gap_is_small():
+    # the slow transient decays at lambda_2 - lambda_1 ~ lambda_1 = 0.0024,
+    # so the slope settles only at t in the thousands
+    g = path_graph(5, np.linspace(0.3, 2.0, 5))
+    rep = survival_domination(g, (0.05, 0.0, 0.0, 0.0, 0.0), 3, (0.5, 1.0, 2.0))
+    assert rep.dominated
+    assert rep.slope_deviation < 1e-3
+    assert rep.slope_mismatch < 1e-3
+
+
+def test_extinction_slope_under_fast_killing(capsys):
+    # survival probabilities fall below e^-1000 long before the slope settles
+    rep = survival_domination(path_graph(3), (50.0, 50.0, 50.0), 3, (0.5, 1.0, 2.0))
+    assert rep.dominated
+    assert rep.slope_deviation < 1e-3
+    code = cli.main(["nonconservative", "--family", "path(3)",
+                     "--omega", "50,50,50", "--k-max", "3"])
+    assert code == cli.EXIT_PASS
+    capsys.readouterr()
+
+
+def test_lift_residual_detects_a_drift_mutant(monkeypatch):
+    g = path_graph(3)
+    omega, theta, rho = (1.0, 0.0, 0.0), (0.5, 0.0, 0.0), 0.2
+
+    def worst(k):
+        vals, vecs, _ = killed_eigenpairs(g, omega, k)
+        return max(eigen_lift_residual(g, omega, theta, rho, k, vals[i], vecs[:, i])
+                   for i in range(len(vals)))
+
+    assert max(worst(k) for k in (1, 2, 3)) < 1e-12
+    apply_b = nonconservative.apply_b
+    monkeypatch.setattr(nonconservative, "apply_b",
+                        lambda *args: (1.0 + 1e-5) * apply_b(*args))
+    for k in (1, 2, 3):
+        assert worst(k) > 1e-7
 
 
 def test_lifted_spectrum_smallest_nonzero_is_the_walk_gap():

@@ -5,29 +5,37 @@ site weights log-uniform on [0.05, 3] and up to three particles.  The rates of
 ``build_sip`` are compared with ``==`` against a brute-force assembly that
 enumerates, indexes and applies every jump with plain tuples and a dict.  The
 dense and sparse routes of ``symmetrized`` must agree bit for bit, and the
-iterative bottom of the spectrum must match the dense one.
+iterative bottom of the spectrum must match the dense one.  The array
+eigen-lift residual must match a pointwise one built from ``lift_F`` and
+``open_generator_apply``, with the true drift and with a perturbed one.
 """
 
 import dataclasses
 import math
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sipspectra import spectral
+from sipspectra import nonconservative, spectral
 from sipspectra.configspace import enumerate_configs
-from sipspectra.generators import CertificationError, build_killed, build_sip
+from sipspectra.generators import (
+    CertificationError,
+    build_killed,
+    build_sip,
+    open_generator_apply,
+)
 from sipspectra.graphs import WeightedGraph
 from sipspectra.intertwiners import adjointness_residual, consistency_residual
 from sipspectra.spectral import bottom_eigenpairs, spectral_gap, spectrum, symmetrized
 
 
 @st.composite
-def _graphs(draw):
-    n = draw(st.integers(2, 5))
+def _graphs(draw, max_n=5):
+    n = draw(st.integers(2, max_n))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # spanning tree
     edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())}
     c = np.zeros((n, n))
@@ -109,3 +117,40 @@ def test_iterative_bottom_matches_dense_on_random_graphs(g, k, data):
         assert abs(iter_gap - dense_gap) <= 1e-10 * max(1.0, abs(dense_gap))
         assert np.all(np.abs(iter_vals - dense_vals)
                       <= 1e-10 * np.maximum(1.0, np.abs(dense_vals)))
+
+
+def _pointwise_lift_residual(g, omega, theta, rho, k, lam, psi):
+    """The lift residual on the same grid, one occupation tuple at a time."""
+    space, space_prev = enumerate_configs(g, k), enumerate_configs(g, k - 1)
+    b_psi = nonconservative.apply_b(g, omega, theta, rho, k, psi, space, space_prev)
+    F = nonconservative.lift_F(g, rho, psi, space)
+    F_b = (nonconservative.lift_F(g, rho, b_psi, space_prev) if k >= 2
+           else nonconservative.lift_F(g, rho, float(b_psi[0]), 0))
+    grid = [tuple(row) for j in range(k + 3)
+            for row in enumerate_configs(g, j).occupations.tolist()]
+    rng = np.random.default_rng(5)
+    grid += [tuple(int(v) for v in rng.multinomial(2 * k, np.ones(g.n) / g.n))
+             for _ in range(3)]
+    worst = max(abs(open_generator_apply(g, omega, theta, F, eta)
+                    + lam * F(eta) - F_b(eta)) for eta in grid)
+    return worst / max(abs(F(eta)) for eta in grid)
+
+
+@given(_graphs(max_n=4), st.integers(1, 3), st.data())
+@settings(max_examples=25, deadline=None)
+def test_array_lift_residual_matches_pointwise_oracle(g, k, data):
+    sites = st.lists(st.floats(0.0, 2.0), min_size=g.n, max_size=g.n)
+    omega = np.array(data.draw(sites.filter(lambda w: max(w) > 0.1)))
+    theta = np.array(data.draw(sites))
+    rho = data.draw(st.floats(0.1, 1.0))
+    vals, vecs, _ = nonconservative.killed_eigenpairs(g, omega, k)
+    i = data.draw(st.integers(0, len(vals) - 1))
+    apply_b = nonconservative.apply_b
+    for drift in (1.0, 1.0 + 1e-3):  # a wrong drift makes the residuals large
+        with mock.patch.object(nonconservative, "apply_b",
+                               lambda *args: drift * apply_b(*args)):
+            array = nonconservative.eigen_lift_residual(
+                g, omega, theta, rho, k, vals[i], vecs[:, i])
+            pointwise = _pointwise_lift_residual(
+                g, omega, theta, rho, k, vals[i], vecs[:, i])
+        assert array == pytest.approx(pointwise, rel=1e-12, abs=1e-12)

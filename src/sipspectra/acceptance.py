@@ -15,7 +15,7 @@ import numpy as np
 
 from . import comparison, intertwiners, metastable, nonconservative
 from .configspace import enumerate_configs
-from .experiments import _linear_bound, torus_experiment
+from .experiments import BOUNDS_TOL, bounds_report_rows, torus_experiment
 from .generators import (
     build_killed,
     build_lookdown,
@@ -23,9 +23,9 @@ from .generators import (
     label_pullback,
     symmetrize_labels,
 )
-from .graphs import WeightedGraph, complete, h_shape, metrics, path_graph, torus
+from .graphs import WeightedGraph, complete, h_shape, path_graph, torus
 from .reports import CheckRecord, ExperimentReport
-from .spectral import spectral_gap, spectrum
+from .spectral import gap_sip, spectrum
 
 __all__ = ["CRITERIA", "run_criterion", "standard_suite"]
 
@@ -102,9 +102,8 @@ def criterion_2_one_particle_identity(k_max: int = 4) -> ExperimentReport:
         for aname, make in patterns:
             g = base.with_alpha(make(base.n))
             t0 = time.perf_counter()
-            gap1 = spectral_gap(build_sip(g, 1))
-            dev = max(abs(spectral_gap(build_sip(g, k)) - gap1) / gap1
-                      for k in range(2, k_max + 1))
+            gap1, *gaps = gap_sip(g, k_max).gaps
+            dev = max(abs(gap - gap1) / gap1 for gap in gaps)
             _timed(report, f"{gname}/{aname}",
                    "many-particle gap collapses to the walk gap for log-concave weights",
                    "|gap_k - gap_1|/gap_1 < 1e-8 for k = 2..4",
@@ -118,7 +117,6 @@ def criterion_3_sandwich_and_lower_bound(k_max: int = 4) -> ExperimentReport:
     report = ExperimentReport("criterion-3-sandwich-lower-bound",
                               {"alpha_min": [0.05, 0.2, 0.5],
                                "eps": [1.0, 0.1, 0.01], "tolerance": 1e-8})
-    tol = 1e-8
     for gname, base in standard_suite():
         t0 = time.perf_counter()
         ok = True
@@ -126,25 +124,19 @@ def criterion_3_sandwich_and_lower_bound(k_max: int = 4) -> ExperimentReport:
         for amin in (0.05, 0.2, 0.5):
             for pname, alpha in (("const", np.full(base.n, amin)),
                                  ("mixed", _mixed(base.n, floor=amin))):
-                for eps in (1.0, 0.1, 0.01):
-                    g = base.with_alpha(eps * alpha)
-                    gap_rw = spectral_gap(build_sip(g, 1))
-                    gap_sip = min(spectral_gap(build_sip(g, k))
-                                  for k in range(2, k_max + 1))
-                    met = metrics(g)
-                    lower = min(1.0, met.alpha_min) * gap_rw
-                    linear = _linear_bound(met, g.n)
-                    good = (lower - tol <= gap_sip <= gap_rw + tol
-                            and gap_sip >= linear - tol)
-                    if not good:
+                for row in bounds_report_rows(base.with_alpha(alpha), k_max,
+                                              (1.0, 0.1, 0.01)):
+                    if not (row.sandwich_ok and row.linear_ok):
                         ok = False
-                        worst = {"amin": amin, "pattern": pname, "eps": eps,
-                                 "gap_rw": gap_rw, "gap_sip": gap_sip,
-                                 "lower": lower, "linear": linear}
+                        worst = {"amin": amin, "pattern": pname, "eps": row.eps,
+                                 "gap_rw": row.scan.gaps[0],
+                                 "gap_sip": row.scan.gap_sip,
+                                 "lower": row.sandwich_lower,
+                                 "linear": row.linear_lower}
         _timed(report, gname,
                "walk-gap sandwich and the linear-in-smallest-weight lower bound",
                "(1 ^ a_min) gap_RW <= gap_SIP <= gap_RW and gap_SIP >= explicit bound",
-               tol, worst or {"violations": 0}, ok, t0)
+               BOUNDS_TOL, worst or {"violations": 0}, ok, t0)
     return report
 
 
@@ -380,11 +372,10 @@ def criterion_9_slow_fast_limits(k_max: int = 3) -> ExperimentReport:
         t0 = time.perf_counter()
         ok = True
         final_rel = 0.0
+        scans = [gap_sip(g.scaled_alpha(e), k_max).gaps for e in EPS_GRID]
         for k in range(1, k_max + 1):
-            chain = metastable.build_chain(g, k)
-            wk = metastable.w_k(chain)
-            errs = [abs(spectral_gap(build_sip(g.scaled_alpha(e), k)) / e - wk)
-                    for e in EPS_GRID]
+            wk = metastable.w_k(metastable.build_chain(g, k))
+            errs = [abs(gaps[k - 1] / e - wk) for gaps, e in zip(scans, EPS_GRID)]
             decreasing = all(errs[i + 1] <= errs[i] + 1e-12 * max(wk, 1.0)
                              for i in range(len(errs) - 1))
             final_rel = max(final_rel, errs[-1] / wk)
@@ -396,9 +387,8 @@ def criterion_9_slow_fast_limits(k_max: int = 3) -> ExperimentReport:
     # two-particle asymptotic identity
     for gname, g in SLOW_FAST_INSTANCES:
         t0 = time.perf_counter()
-        gs = g.scaled_alpha(1e-3)
-        g2 = spectral_gap(build_sip(gs, 2))
-        dev = max(abs(spectral_gap(build_sip(gs, k)) / g2 - 1.0) for k in (3, 4))
+        _, g2, *higher = gap_sip(g.scaled_alpha(1e-3), 4).gaps
+        dev = max(abs(gap / g2 - 1.0) for gap in higher)
         _timed(report, f"{gname}/two_particle_identity",
                "higher-particle gaps match the two-particle gap at small weights",
                "|gap_k/gap_2 - 1| < 0.02 at eps = 1e-3 for k = 3, 4",

@@ -16,17 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance, comparison, metastable, nonconservative
-from .configspace import SpaceCapExceeded, enumerate_configs
-from .experiments import (
-    _linear_bound,
-    bounds_report_rows,
-    quadratic_crossover,
-    torus_experiment,
-)
+from .configspace import DEFAULT_CAP, SpaceCapExceeded, enumerate_configs
+from .experiments import BOUNDS_TOL, bounds_report_rows, quadratic_crossover, torus_experiment
 from .generators import CertificationError, build_killed, build_sip
-from .graphs import GraphError, WeightedGraph, build_family, graph_to_document, metrics, parse_graph
+from .graphs import GraphError, WeightedGraph, build_family, graph_to_document, parse_graph
 from .reports import CheckRecord, ExperimentReport, emit_report
-from .spectral import gap_sip, spectrum
+from .spectral import spectrum
 
 EXIT_PASS = 0
 EXIT_INPUT = 2
@@ -70,39 +65,33 @@ def _write(report: ExperimentReport, args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    if args.k_max < 2:
-        raise ValueError(f"--k-max must be at least 2 for a many-particle gap, "
-                         f"got {args.k_max}")
     g = _load_graph(args)
     report = ExperimentReport("gap", {**_graph_inputs(g), "k_max": args.k_max})
+    eps_grid = tuple(float(e) for e in args.eps.split(",")) if args.eps else ()
     t0 = time.perf_counter()
-    scan = gap_sip(g, args.k_max, cap=args.budget)
-    met = metrics(g)
-    gap_rw = scan.gaps[0]
-    lower = min(1.0, met.alpha_min) * gap_rw
-    linear = _linear_bound(met, g.n)
+    # the eps = 1 row is the graph as given; the rest are the requested table
+    base, *rows = bounds_report_rows(g, args.k_max, (1.0, *eps_grid), cap=args.budget)
     report.add(CheckRecord(
         name="per_particle_gaps",
         reference="gaps shrink weakly in the particle number",
-        computed={"gaps": scan.gaps, "gap_sip": scan.gap_sip},
+        computed={"gaps": base.scan.gaps, "gap_sip": base.scan.gap_sip},
         target="gap_k <= gap_{k-1}", tolerance=1e-10,
-        passed=scan.monotone, wall_clock=time.perf_counter() - t0))
+        passed=base.scan.monotone, wall_clock=time.perf_counter() - t0))
     report.add(CheckRecord(
         name="sandwich",
         reference="many-particle gap sits between the damped and full walk gap",
-        computed={"lower": lower, "gap_sip": scan.gap_sip, "gap_rw": gap_rw},
-        target="(1 ^ a_min) gap_RW <= gap_SIP <= gap_RW", tolerance=1e-8,
-        passed=lower - 1e-8 <= scan.gap_sip <= gap_rw + 1e-8))
+        computed={"lower": base.sandwich_lower, "gap_sip": base.scan.gap_sip,
+                  "gap_rw": base.scan.gaps[0]},
+        target="(1 ^ a_min) gap_RW <= gap_SIP <= gap_RW", tolerance=BOUNDS_TOL,
+        passed=base.sandwich_ok))
     report.add(CheckRecord(
         name="linear_lower_bound",
         reference="explicit graph-feature lower bound on the gap",
-        computed={"bound": linear, "gap_sip": scan.gap_sip},
-        target="gap_SIP >= bound", tolerance=1e-8,
-        passed=scan.gap_sip >= linear - 1e-8))
-    if args.eps:
-        eps_grid = tuple(float(e) for e in args.eps.split(","))
+        computed={"bound": base.linear_lower, "gap_sip": base.scan.gap_sip},
+        target="gap_SIP >= bound", tolerance=BOUNDS_TOL,
+        passed=base.linear_ok))
+    if eps_grid:
         t0 = time.perf_counter()
-        rows = bounds_report_rows(g, args.k_max, eps_grid)
         crossover = quadratic_crossover(g)
         report.add(CheckRecord(
             name="bounds_table",
@@ -110,13 +99,13 @@ def _cmd_gap(args) -> int:
                       "bound overtakes the naive quadratic one below the "
                       "reported crossover",
             computed={"rows": [{
-                "eps": r.eps, "gap_rw": r.gap_rw, "gap_sip": r.gap_sip,
+                "eps": r.eps, "gap_rw": r.scan.gaps[0], "gap_sip": r.scan.gap_sip,
                 "sandwich_lower": r.sandwich_lower,
                 "linear_lower": r.linear_lower,
                 "quadratic_lower": r.quadratic_lower} for r in rows],
                 "quadratic_crossover_eps": crossover},
             target="sandwich and linear bound hold on every row",
-            tolerance=1e-8,
+            tolerance=BOUNDS_TOL,
             passed=all(r.sandwich_ok and r.linear_ok for r in rows),
             wall_clock=time.perf_counter() - t0))
     return _write(report, args)
@@ -250,6 +239,7 @@ def _cmd_nonconservative(args) -> int:
     if args.k_max < 1:
         raise ValueError(f"--k-max must be at least 1, got {args.k_max}")
     g = _load_graph(args)
+    enumerate_configs(g, args.k_max, cap=args.budget)  # fail fast on the budget
     omega = _parse_floats(args.omega, g.n) if args.omega else np.eye(g.n)[0]
     report = ExperimentReport(
         "nonconservative",
@@ -359,7 +349,7 @@ def _add_common(p: argparse.ArgumentParser, graph: bool = True) -> None:
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock fields (breaks byte-determinism)")
-    p.add_argument("--budget", type=int, default=300_000,
+    p.add_argument("--budget", type=int, default=DEFAULT_CAP,
                    help="state-space size budget")
 
 

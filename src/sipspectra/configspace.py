@@ -31,7 +31,7 @@ __all__ = [
     "stack_count",
 ]
 
-DEFAULT_CAP = 200_000
+DEFAULT_CAP = 300_000  # state-space budget: the default of --budget and of every cap
 SHARED_SHAPES = 32  # (n, k) shapes whose tables the memo keeps
 
 

@@ -15,11 +15,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .configspace import SpaceCapExceeded
+from .configspace import DEFAULT_CAP, SpaceCapExceeded
 from .generators import build_sip
 from .graphs import GraphMetrics, WeightedGraph, metrics, torus
 from .metastable import build_chain, lambda_km
-from .spectral import _bottom, _bottom_few_dense, spectral_gap
+from .spectral import GapScan, gap_sip, spectral_gap, symmetric_bottom
 
 __all__ = [
     "TorusRow",
@@ -82,9 +82,7 @@ def difference_walk_rate(n: int, d: int) -> float:
     if keep.size == 0:
         raise ValueError(f"no separated states on the torus of size {n}^{d}")
     off = _separation_jumps(n, d)[keep][:, keep]
-    neg = (sp.diags(np.full(keep.size, 4.0 * d)) - off).tocsr()  # symmetric already
-    S = neg.toarray() if _bottom_few_dense(keep.size, 1) else neg
-    return float(_bottom(S, 1)[0])
+    return float(symmetric_bottom(sp.diags(np.full(keep.size, 4.0 * d)) - off, 1)[0])
 
 
 def _hitting_times_to_origin(n: int, d: int) -> np.ndarray:
@@ -138,7 +136,7 @@ class TorusScan:
     kac_escape_deviation: float
 
 
-def torus_experiment(d: int, n_range, budget: int = 300_000,
+def torus_experiment(d: int, n_range, budget: int = DEFAULT_CAP,
                      direct_max: int = 6, stability_window: int = 5) -> TorusScan:
     """Scan torus sizes for the crossover of the two-stack rate below the gap.
 
@@ -215,11 +213,13 @@ def explicit_lower_bound(g: WeightedGraph) -> float:
     return _linear_bound(metrics(g), g.n)
 
 
+BOUNDS_TOL = 1e-8  # slack of the sandwich and linear-bound checks
+
+
 @dataclass
 class BoundsRow:
     eps: float
-    gap_rw: float
-    gap_sip: float               # min over 2 <= k <= k_max
+    scan: GapScan                # at weights eps * alpha; gaps[0] is gap_rw
     sandwich_lower: float        # (1 ^ alpha_min) gap_rw
     linear_lower: float          # explicit graph-feature bound
     quadratic_lower: float       # alpha_min^2 gap_rw(unit-scale weights)
@@ -227,36 +227,39 @@ class BoundsRow:
     linear_ok: bool
 
 
-def bounds_report_rows(g: WeightedGraph, k_max: int = 4,
-                       eps_grid=(1.0, 0.1, 0.01), tol: float = 1e-8) -> list[BoundsRow]:
-    """Tabulate the gap bounds across a diffusivity grid.
+def bounds_report_rows(g: WeightedGraph, k_max: int = 4, eps_grid=(1.0, 0.1, 0.01),
+                       cap: int = DEFAULT_CAP) -> list[BoundsRow]:
+    """Tabulate the gap bounds across a diffusivity grid, one row per eps.
 
     The base weights of g are treated as the shape; each row rescales them by
     eps and compares the many-particle gap against the walk sandwich, the
-    linear-in-the-smallest-weight bound, and the naive quadratic bound.
+    linear-in-the-smallest-weight bound, and the naive quadratic bound.  This
+    is the one place those bounds are evaluated.  Each distinct eps is scanned
+    once, with every configuration space held to ``cap``.
     """
+    if k_max < 2:
+        raise ValueError(f"k_max must be at least 2 for a many-particle gap, got {k_max}")
     base_gap_hat = spectral_gap(build_sip(g.with_alpha(g.alpha / g.alpha.min()), 1))
-    rows = []
-    for eps in eps_grid:
+    rows: dict[float, BoundsRow] = {}
+    for eps in map(float, eps_grid):
+        if eps in rows:
+            continue
         ge = g.scaled_alpha(eps)
         met = metrics(ge)
-        gap_rw = spectral_gap(build_sip(ge, 1))
-        gaps = [spectral_gap(build_sip(ge, k)) for k in range(2, k_max + 1)]
-        gap_sip = min(gaps)
+        scan = gap_sip(ge, k_max, cap)
+        gap_rw, gap = scan.gaps[0], scan.gap_sip
         lower = min(1.0, met.alpha_min) * gap_rw
         linear = _linear_bound(met, ge.n)
-        quadratic = met.alpha_min**2 * base_gap_hat
-        rows.append(BoundsRow(
-            eps=float(eps),
-            gap_rw=gap_rw,
-            gap_sip=gap_sip,
+        rows[eps] = BoundsRow(
+            eps=eps,
+            scan=scan,
             sandwich_lower=lower,
             linear_lower=linear,
-            quadratic_lower=quadratic,
-            sandwich_ok=(lower - tol <= gap_sip <= gap_rw + tol),
-            linear_ok=(gap_sip >= linear - tol),
-        ))
-    return rows
+            quadratic_lower=met.alpha_min**2 * base_gap_hat,
+            sandwich_ok=(lower - BOUNDS_TOL <= gap <= gap_rw + BOUNDS_TOL),
+            linear_ok=(gap >= linear - BOUNDS_TOL),
+        )
+    return [rows[float(eps)] for eps in eps_grid]
 
 
 def quadratic_crossover(g: WeightedGraph, hi: float = 1.0) -> float | None:

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammaln
 
-from .configspace import ConfigSpace, SpaceCapExceeded, enumerate_configs
+from .configspace import DEFAULT_CAP, ConfigSpace, SpaceCapExceeded, enumerate_configs
 from .graphs import WeightedGraph
 from .measures import WeightedMeasure, mu
 
@@ -35,6 +35,8 @@ __all__ = [
     "symmetrize_labels",
     "label_pullback",
 ]
+
+ASYMMETRY_TOL = 1e-10  # relative asymmetry that fails a reversibility certificate
 
 
 class CertificationError(ValueError):
@@ -219,8 +221,8 @@ def dirichlet_form(L: GeneratorMatrix, f) -> float:
     """Quadratic form <f, -L f> under the reference measure.
 
     Evaluated as the sum over transitions of mu(eta) r(eta, xi) (grad f)^2 / 2,
-    plus the killing contribution when present; raises when the carrier fails
-    the symmetry check, i.e. the generator is not reversible.
+    plus the killing contribution when present; raises CertificationError when
+    the carrier's relative asymmetry exceeds ASYMMETRY_TOL (not reversible).
     """
     if L.reference is None:
         raise ValueError("Dirichlet form needs a reference measure")
@@ -228,7 +230,7 @@ def dirichlet_form(L: GeneratorMatrix, f) -> float:
     carrier = L.carrier().tocoo()
     scale = float(carrier.data.max(initial=0.0))
     asym = float(np.abs((carrier - carrier.T).data).max(initial=0.0))
-    if scale > 0 and asym > 1e-8 * scale:
+    if scale > 0 and asym > ASYMMETRY_TOL * scale:
         raise CertificationError(f"generator is not reversible (residual {asym:.3e})")
     grads = f[carrier.col] - f[carrier.row]
     value = 0.5 * float(np.dot(carrier.data, grads**2))
@@ -260,7 +262,7 @@ class LabeledSpace:
         return self.graph.n ** self.k
 
 
-def build_lookdown(g: WeightedGraph, omega, k: int, cap: int = 200_000) -> GeneratorMatrix:
+def build_lookdown(g: WeightedGraph, omega, k: int, cap: int = DEFAULT_CAP) -> GeneratorMatrix:
     """Label-ordered particle dynamics whose symmetrization is the killed chain.
 
     Particle i at site x jumps to a neighbor y at rate

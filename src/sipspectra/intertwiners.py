@@ -19,7 +19,7 @@ from .configspace import ConfigSpace, enumerate_configs
 from .generators import CertificationError, build_sip, dirichlet_form
 from .graphs import WeightedGraph
 from .measures import mu
-from .spectral import ASYMMETRY_TOL, spectrum
+from .spectral import spectrum, symmetric_bottom
 
 __all__ = [
     "annihilation",
@@ -135,9 +135,8 @@ def gap_induction_check(g: WeightedGraph, k: int) -> InductionReport:
 
     Kernel functions are mean-zero, so their variance is the squared norm and
     the quotient restricted to the kernel is the bilinear form in the
-    orthonormal kernel basis.  The form must be symmetric: its relative
-    asymmetry is certified below ASYMMETRY_TOL (CertificationError otherwise)
-    before the rounding residue is averaged away.
+    orthonormal kernel basis.  The form must be symmetric; ``symmetric_bottom``
+    certifies it before its bottom is taken.
     """
     if k < 2:
         raise ValueError("induction needs k >= 2")
@@ -149,13 +148,7 @@ def gap_induction_check(g: WeightedGraph, k: int) -> InductionReport:
     neg_l = -L_k.as_dense()
     w = L_k.reference.weights
     form = basis.T @ (w[:, None] * (neg_l @ basis))
-    asym = (float(np.abs(form - form.T).max(initial=0.0))
-            / max(float(np.abs(form).max(initial=0.0)), 1e-300))
-    if asym > ASYMMETRY_TOL:
-        raise CertificationError(
-            f"kernel-restricted form asymmetry residual {asym:.3e} too large")
-    form = 0.5 * (form + form.T)
-    kernel_min = float(np.linalg.eigvalsh(form)[0])
+    kernel_min = float(symmetric_bottom(form, 1)[0])
     predicted = min(gap_prev, kernel_min)
     return InductionReport(
         gap_k=gap_k,

@@ -147,14 +147,8 @@ class MetastableChain:
 
     def varsigma_reversibility_residual(self) -> float:
         """Max detailed-balance defect of the product weight inside blocks."""
-        worst = 0.0
-        for block in self.blocks.values():
-            w = varsigma_rows(self.space.graph.alpha,
-                              self.space.occupations[self.omega[block.local]])
-            c = w[:, None] * block.matrix
-            np.fill_diagonal(c, 0.0)
-            worst = max(worst, float(np.abs(c - c.T).max(initial=0.0)))
-        return worst
+        return max((_block_generator(self, block).detailed_balance_residual()
+                    for block in self.blocks.values()), default=0.0)
 
 
 def build_chain(g: WeightedGraph, k: int,

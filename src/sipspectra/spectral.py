@@ -13,9 +13,10 @@ pairs is dense at any size, since Lanczos cannot return that many.  The
 relative asymmetry residual must stay below ASYMMETRY_TOL = 1e-10; correctly
 wired generators measure at most 2.6e-15 (2,880 seeded alpha-scan
 generators), 1.2e-15 (torus(4,2) at k = 4, mixed alpha), 5.7e-16 (killed
-random graphs) and 2.2e-16 (the limit chain's stack blocks).  A failed
-certificate raises CertificationError; a dimension above ITERATIVE_CAP raises
-SpaceCapExceeded.
+random graphs) and 2.2e-16 (the limit chain's stack blocks).  A symmetric
+matrix built elsewhere (a reduced walk, a restricted form) takes the same
+path through ``symmetric_bottom``.  A failed certificate raises
+CertificationError; a dimension above ITERATIVE_CAP raises SpaceCapExceeded.
 """
 
 from __future__ import annotations
@@ -28,15 +29,21 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.stats import poisson
 
-from .configspace import DEFAULT_CAP as DEFAULT_SPACE_CAP
-from .configspace import SpaceCapExceeded, enumerate_configs
-from .generators import CertificationError, GeneratorMatrix, build_sip, dirichlet_form
+from .configspace import DEFAULT_CAP, SpaceCapExceeded, enumerate_configs
+from .generators import (
+    ASYMMETRY_TOL,
+    CertificationError,
+    GeneratorMatrix,
+    build_sip,
+    dirichlet_form,
+)
 from .graphs import WeightedGraph
 
 __all__ = [
     "Spectrum",
     "GapScan",
     "symmetrized",
+    "symmetric_bottom",
     "spectrum",
     "spectral_gap",
     "gap_sip",
@@ -48,7 +55,6 @@ DENSE_CAP = 5000             # full spectrum: dense up to here
 BOTTOM_DENSE_CAP = 1200      # bottom few eigenvalues: dense up to here
 ITERATIVE_CAP = 300_000
 N_EXTREMAL = 8               # eigenvalues of a partial spectrum
-ASYMMETRY_TOL = 1e-10
 MULTIPLICITY_TOL = 1e-8      # relative to the top eigenvalue
 MONOTONE_TOL = 1e-10
 
@@ -165,6 +171,21 @@ def _bottom_few_dense(size: int, count: int) -> bool:
     return size <= BOTTOM_DENSE_CAP or count >= size - 1
 
 
+def symmetric_bottom(S: np.ndarray | sp.spmatrix, count: int) -> np.ndarray:
+    """The ``count`` smallest eigenvalues of a matrix meant to be symmetric:
+    its relative asymmetry is certified below ASYMMETRY_TOL, the rounding
+    residue is averaged away and the bottom-few rule picks the route."""
+    relative = float(abs(S - S.T).max()) / max(float(abs(S).max()), 1e-300)
+    if relative > ASYMMETRY_TOL:
+        raise CertificationError(f"symmetric form asymmetry residual {relative:.3e} too large")
+    S = (S + S.T) * 0.5
+    if not _bottom_few_dense(S.shape[0], count):
+        S = sp.csr_matrix(S)
+    elif sp.issparse(S):
+        S = S.toarray()
+    return _bottom(S, count)
+
+
 def spectrum(L: GeneratorMatrix) -> Spectrum:
     """Spectrum of -L for a reversible (possibly killed) generator."""
     if L.size > ITERATIVE_CAP:
@@ -201,7 +222,7 @@ def spectral_gap(L: GeneratorMatrix) -> float:
     return _extract_gap(_bottom(S, 3), L.conservative)
 
 
-def gap_sip(g: WeightedGraph, k_max: int, cap: int = DEFAULT_SPACE_CAP) -> GapScan:
+def gap_sip(g: WeightedGraph, k_max: int, cap: int = DEFAULT_CAP) -> GapScan:
     """Per-particle-number gaps and their running minimum over k >= 2."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,17 @@ def test_dirichlet_form_killed_and_nonreversible_error():
     bad.reference = WeightedMeasure(np.array([0.0, -1.0, -2.0]), normalized=False)
     with pytest.raises(CertificationError, match="not reversible"):
         dirichlet_form(bad, np.arange(3.0))
+
+
+def test_dirichlet_form_rejects_asymmetry_between_the_old_and_new_tolerance():
+    L = build_sip(path_graph(3, alpha=(0.5, 1.0, 2.0)), 2)
+    bad = dataclasses.replace(L, rates=L.rates.copy())
+    bad.rates.data[np.argmax(bad.rates.data)] *= 1.0 + 5e-9  # one direction only
+    carrier = bad.carrier()
+    relative = abs(carrier - carrier.T).max() / carrier.max()
+    assert 1e-10 < relative < 1e-8
+    with pytest.raises(CertificationError, match="not reversible"):
+        dirichlet_form(bad, np.arange(float(L.size)))
 
 
 def test_lookdown_one_particle_is_killed_walk():

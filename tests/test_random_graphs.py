@@ -7,7 +7,9 @@ enumerates, indexes and applies every jump with plain tuples and a dict.  The
 dense and sparse routes of ``symmetrized`` must agree bit for bit, and the
 iterative bottom of the spectrum must match the dense one.  The array
 eigen-lift residual must match a pointwise one built from ``lift_F`` and
-``open_generator_apply``, with the true drift and with a perturbed one.
+``open_generator_apply``, with the true drift and with a perturbed one.  Every
+field of a ``bounds_report_rows`` row must equal, with ``==``, the sandwich
+and linear bound computed inline from one gap solve per particle number.
 """
 
 import dataclasses
@@ -22,13 +24,14 @@ from hypothesis import strategies as st
 
 from sipspectra import nonconservative, spectral
 from sipspectra.configspace import enumerate_configs
+from sipspectra.experiments import bounds_report_rows, explicit_lower_bound
 from sipspectra.generators import (
     CertificationError,
     build_killed,
     build_sip,
     open_generator_apply,
 )
-from sipspectra.graphs import WeightedGraph
+from sipspectra.graphs import WeightedGraph, metrics
 from sipspectra.intertwiners import adjointness_residual, consistency_residual
 from sipspectra.spectral import bottom_eigenpairs, spectral_gap, spectrum, symmetrized
 
@@ -154,3 +157,30 @@ def test_array_lift_residual_matches_pointwise_oracle(g, k, data):
             pointwise = _pointwise_lift_residual(
                 g, omega, theta, rho, k, vals[i], vecs[:, i])
         assert array == pytest.approx(pointwise, rel=1e-12, abs=1e-12)
+
+
+def _inline_bounds(g, k_max, eps, tol=1e-8):
+    """One bounds row as the sandwich criterion once computed it inline."""
+    ge = g.with_alpha(eps * g.alpha)
+    gap_rw = spectral_gap(build_sip(ge, 1))
+    gap_sip = min(spectral_gap(build_sip(ge, k)) for k in range(2, k_max + 1))
+    lower = min(1.0, metrics(ge).alpha_min) * gap_rw
+    linear = explicit_lower_bound(ge)
+    return {"gap_rw": gap_rw, "gap_sip": gap_sip, "sandwich_lower": lower,
+            "linear_lower": linear,
+            "sandwich_ok": lower - tol <= gap_sip <= gap_rw + tol,
+            "linear_ok": gap_sip >= linear - tol}
+
+
+@given(_graphs(max_n=4), st.integers(2, 3),
+       st.lists(st.sampled_from((1.0, 0.3, 0.1, 0.01)), min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_bounds_rows_equal_the_inline_oracle(g, k_max, eps_grid):
+    rows = bounds_report_rows(g, k_max, eps_grid)
+    assert [row.eps for row in rows] == eps_grid
+    for row in rows:
+        got = {"gap_rw": row.scan.gaps[0], "gap_sip": row.scan.gap_sip,
+               "sandwich_lower": row.sandwich_lower,
+               "linear_lower": row.linear_lower,
+               "sandwich_ok": row.sandwich_ok, "linear_ok": row.linear_ok}
+        assert got == _inline_bounds(g, k_max, row.eps)

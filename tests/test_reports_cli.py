@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from sipspectra import cli, spectral
+from sipspectra import cli, experiments, spectral
 from sipspectra.cli import main
 from sipspectra.generators import build_sip
 from sipspectra.reports import CheckRecord, ExperimentReport, emit_report, parse_report
@@ -123,6 +123,12 @@ def test_cli_budget_exceeded():
                  "--budget", "50"]) == 4
 
 
+def test_cli_nonconservative_honours_the_budget(capsys):
+    assert main(["nonconservative", "--family", "path(3)", "--k-max", "3",
+                 "--budget", "1"]) == 4
+    assert capsys.readouterr().err.startswith("budget exceeded:")
+
+
 def test_cli_failed_certificate_exits_3(monkeypatch, capsys):
     def broken_sip(g, k, space=None):
         L = build_sip(g, k, space)
@@ -210,6 +216,28 @@ def test_cli_gap_bounds_table(tmp_path):
     assert [r["eps"] for r in rows] == [1, 0.1, 0.01]
     eps0 = table.computed["quadratic_crossover_eps"]
     assert eps0 is None or 0 < eps0 <= 1
+
+
+def test_cli_gap_bounds_table_scans_each_eps_once(tmp_path, monkeypatch):
+    built = []
+
+    def counting_sip(g, k, space=None):
+        built.append(k)
+        return build_sip(g, k, space)
+
+    for module in (spectral, experiments):
+        monkeypatch.setattr(module, "build_sip", counting_sip)
+    out = tmp_path / "bounds.json"
+    assert main(["gap", "--family", "path(4)", "--alpha", "0.4,1,2,0.7",
+                 "--k-max", "4", "--eps", "1,0.1,0.01", "--out", str(out)]) == 0
+    # one unit-scale walk gap for the quadratic bound and one for the
+    # crossover, and a scan over k = 1..4 at each of the three eps
+    assert len(built) <= 14
+    records = {r.name: r for r in parse_report(out.read_text()).records}
+    first = records["bounds_table"].computed["rows"][0]
+    assert first["eps"] == 1
+    sandwich = records["sandwich"].computed
+    assert (first["gap_rw"], first["gap_sip"]) == (sandwich["gap_rw"], sandwich["gap_sip"])
 
 
 def test_quadratic_crossover_separates_bounds():

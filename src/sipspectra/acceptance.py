@@ -257,27 +257,19 @@ def criterion_7_metastable_structure() -> ExperimentReport:
     cases += [("path_3_mixed", path_graph(3, (0.5, 1.0, 2.0)), (3,)),
               ("torus_5_mixed", torus(5, 1, _mixed(5)), (3,))]
     for gname, g, ks in cases:
-        chains: dict[int, metastable.MetastableChain] = {}
+        chains = {k: metastable.build_chain(g, k) for k in range(ks[0] - 1, ks[-1] + 1)}
         for k in ks:
             t0 = time.perf_counter()
-            chain = chains.setdefault(k, metastable.build_chain(g, k))
+            chain = chains[k]
             rows = chain.row_sum_residual()
             tri = chain.triangularity_residual()
             rev = chain.varsigma_reversibility_residual()
-            single = 0.0
-            for xi, local in enumerate(chain.blocks[1].local):
-                cfg = chain.omega_config(int(local))
-                x = int(np.nonzero(cfg)[0][0])
-                for xj, other in enumerate(chain.blocks[1].local):
-                    if xi == xj:
-                        continue
-                    y = int(np.nonzero(chain.omega_config(int(other)))[0][0])
-                    expect = g.conductances[x, y] * g.alpha[y]
-                    single = max(single, abs(
-                        chain.blocks[1].matrix[xi, xj] - expect))
-            prev = chains.setdefault(k - 1, metastable.build_chain(g, k - 1))
-            inter = metastable.restricted_annihilation_residual(
-                g, k, chain, prev)
+            walk = chain.blocks[1]
+            sites = chain.space.occupations[chain.omega[walk.local]].argmax(axis=1)
+            expect = g.conductances[np.ix_(sites, sites)] * g.alpha[sites]
+            off = ~np.eye(sites.size, dtype=bool)
+            single = float(np.abs(walk.matrix - expect)[off].max(initial=0.0))
+            inter = metastable.restricted_annihilation_residual(chain, chains[k - 1])
             ok = max(rows, tri, rev, single, inter) < 1e-10
             _timed(report, f"{gname}/k{k}",
                    "limit chain is conservative, never raises the stack count, "
@@ -323,10 +315,7 @@ def criterion_8_eigenvalue_collapse(k_max: int = 4) -> ExperimentReport:
             order_margin = math.inf
             l22 = metastable.lambda_km(chains[2], 2)
             for m in range(2, k_max + 1):
-                if m in chains and m in chains[m].blocks:
-                    base_val = metastable.lambda_km(chains[m], m)
-                else:
-                    base_val = math.inf
+                base_val = metastable.lambda_km(chains[m], m)
                 for k in range(m, k_max + 1):
                     val = metastable.lambda_km(chains[k], m)
                     if math.isinf(base_val) or math.isinf(val):
@@ -368,13 +357,15 @@ def criterion_9_slow_fast_limits(k_max: int = 3) -> ExperimentReport:
     """Gap, semigroup, and absorption convergence toward the limit chain."""
     report = ExperimentReport("criterion-9-slow-fast",
                               {"eps_grid": list(EPS_GRID)})
+    chains = {}
     for gname, g in SLOW_FAST_INSTANCES:
         t0 = time.perf_counter()
         ok = True
         final_rel = 0.0
         scans = [gap_sip(g.scaled_alpha(e), k_max).gaps for e in EPS_GRID]
         for k in range(1, k_max + 1):
-            wk = metastable.w_k(metastable.build_chain(g, k))
+            chains[gname, k] = metastable.build_chain(g, k)
+            wk = metastable.w_k(chains[gname, k])
             errs = [abs(gaps[k - 1] / e - wk) for gaps, e in zip(scans, EPS_GRID)]
             decreasing = all(errs[i + 1] <= errs[i] + 1e-12 * max(wk, 1.0)
                              for i in range(len(errs) - 1))
@@ -393,15 +384,15 @@ def criterion_9_slow_fast_limits(k_max: int = 3) -> ExperimentReport:
                "higher-particle gaps match the two-particle gap at small weights",
                "|gap_k/gap_2 - 1| < 0.02 at eps = 1e-3 for k = 3, 4",
                0.02, {"max_deviation": dev}, dev < 0.02, t0)
-    # semigroup convergence and absorbing mass on the pinned instances
-    for gname, g, k in (("path_3", path_graph(3), 2), ("path_3", path_graph(3), 3)):
+    # semigroup convergence and absorbing mass on the pinned instance
+    for k in range(2, k_max + 1):
         t0 = time.perf_counter()
-        rows = metastable.slow_fast_convergence(g, k, t=1.0, eps_grid=EPS_GRID)
+        rows = metastable.slow_fast_convergence(chains["path_3", k], t=1.0, eps_grid=EPS_GRID)
         devs = [r.semigroup_deviation for r in rows]
         decreasing = all(devs[i + 1] <= devs[i] + 1e-12 for i in range(len(devs) - 1))
         mass = rows[-1].min_absorbing_mass
         ok = decreasing and devs[-1] < 0.05 and mass >= 0.99
-        _timed(report, f"{gname}/k{k}/semigroup",
+        _timed(report, f"path_3/k{k}/semigroup",
                "accelerated semigroup approaches the projected limit semigroup "
                "and the state thermalizes into the absorbing set",
                "sup-norm deviation < 0.05 and absorbing mass >= 0.99 at eps=1e-3, t=1",

@@ -162,8 +162,8 @@ def _cmd_metastable(args) -> int:
         target="informational", tolerance=0.0, passed=True))
     if args.k >= 2:
         t0 = time.perf_counter()
-        resid = metastable.restricted_annihilation_residual(g, args.k,
-                                                            chain_k=chain)
+        prev = metastable.build_chain(g, args.k - 1)
+        resid = metastable.restricted_annihilation_residual(chain, prev)
         report.add(CheckRecord(
             name="restricted_intertwining",
             reference="limit chain commutes with particle removal on the "
@@ -173,8 +173,7 @@ def _cmd_metastable(args) -> int:
             wall_clock=time.perf_counter() - t0))
     if args.eps:
         eps_grid = tuple(float(e) for e in args.eps.split(","))
-        rows_sf = metastable.slow_fast_convergence(g, args.k, t=1.0,
-                                                   eps_grid=eps_grid, chain=chain)
+        rows_sf = metastable.slow_fast_convergence(chain, t=1.0, eps_grid=eps_grid)
         report.add(CheckRecord(
             name="slow_fast_convergence",
             reference="rescaled gaps and semigroups approach the limit chain",
@@ -192,7 +191,7 @@ def _cmd_compare(args) -> int:
                               {**_graph_inputs(g), "k": args.k})
     enumerate_configs(g, args.k, cap=args.budget)  # fail fast on the budget
     t0 = time.perf_counter()
-    comp = comparison.verify_key_ing(g, args.k, n_random=args.panel)
+    comp = comparison.verify_key_ing(g, args.k)
     report.add(CheckRecord(
         name="comparison_inequality",
         reference="complete-graph energy bounded by the graph energy times "
@@ -322,6 +321,9 @@ def _cmd_torus(args) -> int:
 def _cmd_verify_all(args) -> int:
     numbers = ([int(v) for v in args.only.split(",")] if args.only
                else sorted(acceptance.CRITERIA))
+    unknown = sorted(set(numbers) - set(acceptance.CRITERIA))
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}; valid: {sorted(acceptance.CRITERIA)}")
     failures = 0
     for number in numbers:
         report = acceptance.run_criterion(number)
@@ -380,7 +382,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("compare-dirichlet", help="complete-graph comparison")
     _add_common(p)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--panel", type=int, default=50)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("nonconservative", help="killed gaps and duality lifts")

@@ -393,19 +393,23 @@ class ComparisonReport:
     panel_size: int
 
 
-def verify_key_ing(g: WeightedGraph, k: int, n_random: int = 50) -> ComparisonReport:
+PANEL_RANDOM = 50  # seeded uniform functions after the gap eigenfunction
+PANEL_SEED = 11
+
+
+def verify_key_ing(g: WeightedGraph, k: int) -> ComparisonReport:
     """Check E_complete(f) <= C(g, k) E_g(f) over a panel of functions.
 
     The panel is the gap eigenfunction of the graph dynamics followed by
-    ``n_random`` uniform functions on [-1, 1] drawn from a fixed seed.
+    PANEL_RANDOM uniform functions on [-1, 1] drawn from a fixed seed.
     """
     space = enumerate_configs(g, k)
     L_g = build_sip(g, k, space)
     L_k = build_sip(complete_reference(g), k, space)
     _, vecs = bottom_eigenpairs(L_g, 2)
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(PANEL_SEED)
     panel = [vecs[:, 1]]
-    panel.extend(rng.uniform(-1.0, 1.0, space.size) for _ in range(n_random))
+    panel.extend(rng.uniform(-1.0, 1.0, space.size) for _ in range(PANEL_RANDOM))
     constant = comparison_constant(g, k)
     violations = 0
     worst = 0.0

@@ -136,8 +136,11 @@ class TorusScan:
     kac_escape_deviation: float
 
 
-def torus_experiment(d: int, n_range, budget: int = DEFAULT_CAP,
-                     direct_max: int = 6, stability_window: int = 5) -> TorusScan:
+DIRECT_MAX = 6        # torus sizes checked against the direct limit chain
+STABILITY_WINDOW = 5  # consecutive crossings that make a stable crossover
+
+
+def torus_experiment(d: int, n_range, budget: int = DEFAULT_CAP) -> TorusScan:
     """Scan torus sizes for the crossover of the two-stack rate below the gap.
 
     The reduced separation-walk eigenvalue is only trusted after agreeing
@@ -151,7 +154,7 @@ def torus_experiment(d: int, n_range, budget: int = DEFAULT_CAP,
     if any(n**d > budget for n in ns):
         raise SpaceCapExceeded(f"torus scan exceeds the budget {budget}")
     val_dev = 0.0
-    for n in range(4, direct_max + 1):
+    for n in range(4, DIRECT_MAX + 1):
         g = torus(n, d)
         chain = build_chain(g, 2)
         direct = lambda_km(chain, 2)
@@ -171,7 +174,7 @@ def torus_experiment(d: int, n_range, budget: int = DEFAULT_CAP,
         gap_dev = max(gap_dev, abs(exact - solved) / exact)
     kac_ret_dev = 0.0
     kac_esc_dev = 0.0
-    for n in range(4, min(direct_max, 10) + 1):
+    for n in range(4, DIRECT_MAX + 1):
         expected = n**d / (4.0 * d)
         kac_ret_dev = max(kac_ret_dev,
                           abs(kac_return_time(n, d) - expected) / expected)
@@ -187,8 +190,8 @@ def torus_experiment(d: int, n_range, budget: int = DEFAULT_CAP,
     crossover_n = None
     flags = [r.crossover for r in rows]
     for i in range(len(rows)):
-        window = flags[i:i + stability_window]
-        if len(window) == stability_window and all(window) and all(flags[i:]):
+        window = flags[i:i + STABILITY_WINDOW]
+        if len(window) == STABILITY_WINDOW and all(window) and all(flags[i:]):
             crossover_n = rows[i].n
             break
     return TorusScan(d=d, rows=rows, crossover_n=crossover_n,
@@ -262,13 +265,16 @@ def bounds_report_rows(g: WeightedGraph, k_max: int = 4, eps_grid=(1.0, 0.1, 0.0
     return [rows[float(eps)] for eps in eps_grid]
 
 
-def quadratic_crossover(g: WeightedGraph, hi: float = 1.0) -> float | None:
+CROSSOVER_EPS_MAX = 1.0  # quadratic_crossover bisects on (0, CROSSOVER_EPS_MAX]
+
+
+def quadratic_crossover(g: WeightedGraph) -> float | None:
     """Diffusivity below which the linear bound beats the naive quadratic one.
 
     The quadratic bound scales like eps^2 while the explicit bound is linear
     in eps up to the slowly varying weight-dependent factor, so they cross
-    once; found by bisection on (0, hi].  None when the linear bound already
-    wins at eps = hi.
+    once; found by bisection on (0, CROSSOVER_EPS_MAX].  None when the linear
+    bound already wins there.
 
     Diameter and conductances do not depend on the weights, and the rescaled
     weights eps * alpha / alpha_min enter the bound only through their
@@ -285,14 +291,14 @@ def quadratic_crossover(g: WeightedGraph, hi: float = 1.0) -> float | None:
         scaled = replace(met, alpha_min=low, alpha_max=high, alpha_ratio=low / high)
         return _linear_bound(scaled, g.n) - low**2 * base_gap_hat
 
-    if margin(hi) > 0:
+    if margin(CROSSOVER_EPS_MAX) > 0:
         return None
-    lo = hi
+    lo = CROSSOVER_EPS_MAX
     while margin(lo) <= 0:
         lo /= 2.0
         if lo < 1e-12:
             raise RuntimeError("no crossover above eps = 1e-12")
-    a, b = lo, min(2 * lo, hi)
+    a, b = lo, min(2 * lo, CROSSOVER_EPS_MAX)
     for _ in range(200):
         mid = 0.5 * (a + b)
         if margin(mid) > 0:

@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10
+ADJOINT_TRIALS = 10  # seeded function pairs of adjointness_residual
+ADJOINT_SEED = 0
+COMPLETE_TOL = 1e-8  # eigenvalue slack of complete_graph_check
 
 
 def annihilation(g: WeightedGraph, k: int,
@@ -62,8 +65,7 @@ def creation(g: WeightedGraph, k: int,
                          shape=(space_prev.size, space_k.size)).tocsr()
 
 
-def adjointness_residual(g: WeightedGraph, k: int, trials: int = 10,
-                         seed: int = 0) -> float:
+def adjointness_residual(g: WeightedGraph, k: int) -> float:
     """Max deviation in <a g, f>_k = k/(|alpha|+k-1) <g, a* f>_{k-1}."""
     space_k = enumerate_configs(g, k)
     space_prev = enumerate_configs(g, k - 1)
@@ -71,9 +73,9 @@ def adjointness_residual(g: WeightedGraph, k: int, trials: int = 10,
     a_dag = creation(g, k, space_k, space_prev)
     mu_k, mu_prev = mu(g, space_k), mu(g, space_prev)
     factor = k / (g.total_alpha() + k - 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ADJOINT_SEED)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(ADJOINT_TRIALS):
         f = rng.standard_normal(space_k.size)
         h = rng.standard_normal(space_prev.size)
         lhs = mu_k.inner(a @ h, f)
@@ -169,7 +171,7 @@ class CompleteGraphReport:
     multiplicities_match: bool
 
 
-def complete_graph_check(g: WeightedGraph, k: int, tol: float = 1e-8) -> CompleteGraphReport:
+def complete_graph_check(g: WeightedGraph, k: int) -> CompleteGraphReport:
     """Verify the closed-form eigenstructure on a complete graph.
 
     Every kernel-basis function is an eigenfunction with eigenvalue
@@ -199,7 +201,7 @@ def complete_graph_check(g: WeightedGraph, k: int, tol: float = 1e-8) -> Complet
     flat = np.repeat(expected_vals, expected_mult)
     scale = max(abs(flat[-1]), 1.0)
     deviation = float(np.abs(np.sort(eigs) - np.sort(flat)).max() / scale)
-    groups_ok = deviation < tol
+    groups_ok = deviation < COMPLETE_TOL
     return CompleteGraphReport(
         k=k,
         total_alpha=total,

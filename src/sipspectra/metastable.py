@@ -8,12 +8,15 @@ stacks, and its transient blocks are self-adjoint for an explicit product
 weight.  Block eigenvalues come from ``spectral``'s one solver, each block
 posed as a generator killed by its leak to fewer stacks and certified there
 (relative asymmetry below 1e-10; correctly wired blocks measure 2.2e-16).
+Every reader takes a built ``MetastableChain``: it keeps its slow-fast pair
+and its limit generator, and each stack block builds its generator and rate once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,9 +31,9 @@ from .generators import (
     build_slow_fast,
     combine_slow_fast,
 )
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, graph_to_document
 from .measures import WeightedMeasure, varsigma_rows
-from .spectral import expm_action, spectral_gap, spectrum
+from .spectral import expm_action, spectral_gap
 from .intertwiners import annihilation
 
 __all__ = [
@@ -71,17 +74,13 @@ class HarmonicProjection:
         return self.matrix @ f[self.space.omega]
 
 
-def harmonic_projection(g: WeightedGraph, k: int,
-                        space: ConfigSpace | None = None,
-                        B: GeneratorMatrix | None = None) -> HarmonicProjection:
-    """Solve the absorption systems of the interaction-only dynamics.
+def harmonic_projection(B: GeneratorMatrix) -> HarmonicProjection:
+    """Solve the absorption systems of the interaction-only dynamics ``B``.
 
     One sparse factorization of the transient block is reused across all
     absorbing targets.
     """
-    space = space or enumerate_configs(g, k)
-    if B is None:
-        _, B = build_slow_fast(g, k, space)
+    space = B.space
     omega, delta = space.omega, space.delta
     if space.size * omega.size > 200_000_000:
         raise SpaceCapExceeded(
@@ -119,19 +118,46 @@ class StackBlock:
     local: np.ndarray        # positions within the absorbing-set ordering
     matrix: np.ndarray       # (|block|, |block|) with the chain's diagonal
     components: list[np.ndarray]  # irreducible pieces, indices into local
+    weights: np.ndarray      # varsigma of the block's configurations
+
+    @cached_property
+    def generator(self) -> GeneratorMatrix:
+        """The block as a generator: its rates and diagonal, its leak to fewer
+        stacks as killing and varsigma as reference.  The single-stack block
+        is closed; its row sums are rounding, so it carries no killing."""
+        off = np.where(np.eye(self.local.size, dtype=bool), 0.0, self.matrix)
+        return GeneratorMatrix(
+            space=None, rates=sp.csr_matrix(off), diagonal=np.diag(self.matrix).copy(),
+            kill=None if self.m == 1 else -self.matrix.sum(axis=1),
+            reference=WeightedMeasure(log_weights=np.log(self.weights), normalized=False))
+
+    @cached_property
+    def rate(self) -> float:
+        """The walk gap of the single-stack block, else the sector's decay rate."""
+        return spectral_gap(self.generator)
 
 
 @dataclass
 class MetastableChain:
+    """The limit chain together with the slow-fast pair it was built from."""
+
     space: ConfigSpace
-    omega: np.ndarray            # global config indices of absorbing states
+    A: GeneratorMatrix           # slow part: independent walks
+    B: GeneratorMatrix           # fast part: pure interaction
+    projection: HarmonicProjection
     M: np.ndarray                # (|Omega|, |Omega|) rate matrix, rows sum to 0
     blocks: dict[int, StackBlock]
-    projection: HarmonicProjection
 
     @property
-    def size(self) -> int:
-        return self.omega.shape[0]
+    def omega(self) -> np.ndarray:
+        return self.space.omega  # global config indices of the absorbing states
+
+    @cached_property
+    def generator(self) -> GeneratorMatrix:
+        """M as a generator on the absorbing set."""
+        off = np.where(np.eye(len(self.M), dtype=bool), 0.0, self.M)
+        return GeneratorMatrix(space=None, rates=sp.csr_matrix(off),
+                               diagonal=np.diag(self.M).copy())
 
     def omega_config(self, local: int) -> tuple[int, ...]:
         return self.space.config(int(self.omega[local]))
@@ -147,7 +173,7 @@ class MetastableChain:
 
     def varsigma_reversibility_residual(self) -> float:
         """Max detailed-balance defect of the product weight inside blocks."""
-        return max((_block_generator(self, block).detailed_balance_residual()
+        return max((block.generator.detailed_balance_residual()
                     for block in self.blocks.values()), default=0.0)
 
 
@@ -156,7 +182,7 @@ def build_chain(g: WeightedGraph, k: int,
     """Assemble the limit rate matrix: slow jump, then instant absorption."""
     space = space or enumerate_configs(g, k)
     A, B = build_slow_fast(g, k, space)
-    proj = harmonic_projection(g, k, space, B)
+    proj = harmonic_projection(B)
     omega = space.omega
     flow = A.rates[omega] @ proj.matrix   # rate out of eta resolved at xi
     M = np.asarray(flow.todense() if sp.issparse(flow) else flow)
@@ -173,25 +199,10 @@ def build_chain(g: WeightedGraph, k: int,
         np.fill_diagonal(support, True)
         n_comp, labels = connected_components(sp.csr_matrix(support), directed=False)
         comps = [np.nonzero(labels == c)[0] for c in range(n_comp)]
-        blocks[m] = StackBlock(m=m, local=local, matrix=sub, components=comps)
-    return MetastableChain(space=space, omega=omega, M=M, blocks=blocks,
-                           projection=proj)
-
-
-def _block_generator(chain: MetastableChain, block: StackBlock) -> GeneratorMatrix:
-    """The block as a generator: its rates and diagonal, its leak to fewer
-    stacks as killing and varsigma as reference.  The single-stack block is
-    closed; its row sums are rounding, so it carries no killing."""
-    occ = chain.space.occupations[chain.omega[block.local]]
-    w = varsigma_rows(chain.space.graph.alpha, occ)
-    off = np.where(np.eye(block.local.size, dtype=bool), 0.0, block.matrix)
-    return GeneratorMatrix(
-        space=None,
-        rates=sp.csr_matrix(off),
-        diagonal=np.diag(block.matrix).copy(),
-        kill=None if block.m == 1 else -block.matrix.sum(axis=1),
-        reference=WeightedMeasure(log_weights=np.log(w), normalized=False),
-    )
+        weights = varsigma_rows(space.graph.alpha, space.occupations[omega[local]])
+        blocks[m] = StackBlock(m=m, local=local, matrix=sub, components=comps,
+                               weights=weights)
+    return MetastableChain(space=space, A=A, B=B, projection=proj, M=M, blocks=blocks)
 
 
 def lambda_km(chain: MetastableChain, m: int) -> float:
@@ -199,43 +210,33 @@ def lambda_km(chain: MetastableChain, m: int) -> float:
     if m < 2:
         raise ValueError("transient sectors start at two stacks")
     block = chain.blocks.get(m)
-    if block is None:
-        return math.inf
-    return spectrum(_block_generator(chain, block)).gap
+    return math.inf if block is None else block.rate
 
 
 def single_stack_gap(chain: MetastableChain) -> float:
     """Gap of the single-stack walk (the recurrent part of the chain)."""
-    return spectral_gap(_block_generator(chain, chain.blocks[1]))
+    return chain.blocks[1].rate
 
 
 def w_k(chain: MetastableChain) -> float:
     """Gap of the limit chain: single-stack walk gap against all sector rates."""
-    best = single_stack_gap(chain)
-    for m in chain.blocks:
-        if m >= 2:
-            best = min(best, lambda_km(chain, m))
-    return best
+    return min(block.rate for block in chain.blocks.values())
 
 
-def restricted_annihilation(g: WeightedGraph, k: int,
-                            chain_k: MetastableChain,
+def restricted_annihilation(chain_k: MetastableChain,
                             chain_prev: MetastableChain) -> sp.csr_matrix:
     """Particle-removal operator restricted to the absorbing sets."""
-    full = annihilation(g, k, chain_k.space)
-    sub = full[chain_k.omega][:, chain_prev.omega]
-    return sp.csr_matrix(sub)
+    space, prev = chain_k.space, chain_prev.space
+    if prev.k != space.k - 1 or graph_to_document(prev.graph) != graph_to_document(space.graph):
+        raise ValueError(f"chain_prev must hold {space.k - 1} particles on the same graph")
+    full = annihilation(space.graph, space.k, space)
+    return sp.csr_matrix(full[chain_k.omega][:, chain_prev.omega])
 
 
-def restricted_annihilation_residual(g: WeightedGraph, k: int,
-                                      chain_k: MetastableChain | None = None,
-                                      chain_prev: MetastableChain | None = None) -> float:
+def restricted_annihilation_residual(chain_k: MetastableChain,
+                                     chain_prev: MetastableChain) -> float:
     """Max-norm of M_k a_k - a_k M_{k-1} on the absorbing sets."""
-    if k < 2:
-        raise ValueError("intertwining needs k >= 2")
-    chain_k = chain_k or build_chain(g, k)
-    chain_prev = chain_prev or build_chain(g, k - 1)
-    a_hat = restricted_annihilation(g, k, chain_k, chain_prev).toarray()
+    a_hat = restricted_annihilation(chain_k, chain_prev).toarray()
     resid = chain_k.M @ a_hat - a_hat @ chain_prev.M
     return float(np.abs(resid).max(initial=0.0))
 
@@ -249,24 +250,22 @@ class SlowFastRow:
     min_absorbing_mass: float    # min over states of P[in absorbing set at t]
 
 
-def _default_panel(size: int, seed: int = 7) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+PANEL_SEED = 7
+MIN_EPS = 1e-3
+
+
+def _panel(size: int) -> np.ndarray:
     panel = [np.ones(size)]
     for i in range(min(3, size)):
         e = np.zeros(size)
         e[i * (size // max(1, min(3, size)))] = 1.0
         panel.append(e)
-    panel.append(rng.uniform(-1.0, 1.0, size))
+    panel.append(np.random.default_rng(PANEL_SEED).uniform(-1.0, 1.0, size))
     return np.column_stack(panel)
 
 
-MIN_EPS = 1e-3
-
-
-def slow_fast_convergence(g: WeightedGraph, k: int, t: float,
-                          eps_grid=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
-                          panel: np.ndarray | None = None,
-                          chain: MetastableChain | None = None) -> list[SlowFastRow]:
+def slow_fast_convergence(chain: MetastableChain, t: float,
+                          eps_grid) -> list[SlowFastRow]:
     """Tabulate semigroup and gap convergence toward the limit chain.
 
     For each diffusivity eps: the sup-norm distance between the accelerated
@@ -279,28 +278,21 @@ def slow_fast_convergence(g: WeightedGraph, k: int, t: float,
         raise ValueError("time must be positive")
     if any(e < MIN_EPS for e in eps_grid):
         raise ValueError(f"diffusivities below {MIN_EPS} are not supported")
-    space = chain.space if chain is not None else enumerate_configs(g, k)
-    chain = chain or build_chain(g, k, space)
-    A, B = build_slow_fast(g, k, space)
-    if panel is None:
-        panel = _default_panel(space.size)
+    space = chain.space
+    panel = _panel(space.size)
     limit_gap = w_k(chain)
-    m_gen = GeneratorMatrix(
-        space=None,
-        rates=sp.csr_matrix(np.where(np.eye(chain.size, dtype=bool), 0.0, chain.M)),
-        diagonal=np.diag(chain.M).copy(),
-    )
-    limit_vals = chain.projection.matrix @ expm_action(m_gen, t, panel[chain.omega])
+    limit_vals = chain.projection.matrix @ expm_action(chain.generator, t,
+                                                       panel[chain.omega])
     indicator = np.zeros(space.size)
     indicator[space.omega] = 1.0
     columns = np.column_stack([panel, indicator])
     rows = []
     for eps in eps_grid:
-        gen = combine_slow_fast(A, B, eps)
+        gen = combine_slow_fast(chain.A, chain.B, eps)
         evolved = expm_action(gen, t, columns)
         mass = evolved[:, -1]
         deviation = float(np.abs(evolved[:, :-1] - limit_vals).max())
-        gap_eps = spectral_gap(build_sip(g.scaled_alpha(eps), k, space))
+        gap_eps = spectral_gap(build_sip(space.graph.scaled_alpha(eps), space.k, space))
         ratio = gap_eps / eps
         rows.append(SlowFastRow(
             eps=float(eps),

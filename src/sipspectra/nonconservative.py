@@ -57,6 +57,8 @@ LIFT_SEED = 5
 SLOPE_DT = 1.0             # time step of the absorbing chain's one-step matrix
 SLOPE_TOL = 1e-9           # consecutive slopes this close: the rate has set in
 MAX_DOUBLINGS = 40         # t = (2^40 - 1) SLOPE_DT at most
+IDENTITY_TOL = 1e-8        # relative slack of gap_identity_check
+ORTHOGONALITY_TOL = 1e-7   # orthogonality_check truncates its site sums at 1e-3 of this
 
 
 def meixner_d(alpha_x: float, rho: float, xi: int, eta: int) -> float:
@@ -181,8 +183,7 @@ class GapIdentityReport:
     identity_holds: bool
 
 
-def gap_identity_check(g: WeightedGraph, omega, k_max: int,
-                       tol: float = 1e-8) -> GapIdentityReport:
+def gap_identity_check(g: WeightedGraph, omega, k_max: int) -> GapIdentityReport:
     """Absorbing-chain gaps for every particle number against one particle.
 
     The k-particle absorbing chain has spectrum equal to the union of the
@@ -198,7 +199,7 @@ def gap_identity_check(g: WeightedGraph, omega, k_max: int,
     base = chain_gaps[0]
     dev = max(abs(gk - base) / base for gk in chain_gaps)
     inf_tail = min(chain_gaps[1:]) if k_max >= 2 else base
-    holds = dev < tol and abs(inf_tail - base) / base < tol
+    holds = dev < IDENTITY_TOL and abs(inf_tail - base) / base < IDENTITY_TOL
     return GapIdentityReport(level_bottoms=bottoms, chain_gaps=chain_gaps,
                              max_relative_deviation=dev, identity_holds=holds)
 
@@ -314,8 +315,7 @@ class OrthogonalityReport:
     pairs_checked: int
 
 
-def orthogonality_check(g: WeightedGraph, rho: float, k: int, l: int,
-                        tol: float = 1e-7) -> OrthogonalityReport:
+def orthogonality_check(g: WeightedGraph, rho: float, k: int, l: int) -> OrthogonalityReport:
     """Gram structure of the duality kernels under the product measure.
 
     The inner product factorizes over sites, so each factor is a certified
@@ -325,7 +325,8 @@ def orthogonality_check(g: WeightedGraph, rho: float, k: int, l: int,
     if rho <= 0:
         raise ValueError("rho must be positive")
     deg = k + l
-    cutoffs = [negbin_tail_cutoff(float(a), rho, tol=tol * 1e-3, poly_degree=deg)
+    cutoffs = [negbin_tail_cutoff(float(a), rho, tol=ORTHOGONALITY_TOL * 1e-3,
+                                  poly_degree=deg)
                for a in g.alpha]
     p = rho / (1.0 + rho)
 

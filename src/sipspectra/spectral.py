@@ -57,6 +57,7 @@ ITERATIVE_CAP = 300_000
 N_EXTREMAL = 8               # eigenvalues of a partial spectrum
 MULTIPLICITY_TOL = 1e-8      # relative to the top eigenvalue
 MONOTONE_TOL = 1e-10
+EXPM_TOL = 1e-10             # neglected Poisson mass of expm_action
 
 
 @dataclass
@@ -250,12 +251,13 @@ def rayleigh(L: GeneratorMatrix, f) -> float:
     return energy / denom
 
 
-def expm_action(L: GeneratorMatrix, t: float, f, tol: float = 1e-10) -> np.ndarray:
+def expm_action(L: GeneratorMatrix, t: float, f) -> np.ndarray:
     """exp(tL) f by uniformization.
 
     Poisson-weighted powers of the uniformized kernel; the number of terms is
-    chosen so the neglected Poisson mass is below tol, giving a sup-norm error
-    below tol * max|f|.  Works for conservative and killed generators alike.
+    chosen so the neglected Poisson mass is below EXPM_TOL, giving a sup-norm
+    error below EXPM_TOL * max|f|.  Works for conservative and killed
+    generators alike.
     """
     if t <= 0:
         raise ValueError("time must be positive")
@@ -265,7 +267,7 @@ def expm_action(L: GeneratorMatrix, t: float, f, tol: float = 1e-10) -> np.ndarr
         return f.copy()
     P = (L.rates + sp.diags(L.diagonal + lam)) / lam
     mu_t = lam * t
-    m_max = int(poisson.isf(tol * 1e-2, mu_t)) + 2
+    m_max = int(poisson.isf(EXPM_TOL * 1e-2, mu_t)) + 2
     weights = poisson.pmf(np.arange(m_max + 1), mu_t)
     out = weights[0] * f
     term = f

@@ -198,8 +198,7 @@ def test_compare_request_builds_each_plan_once(monkeypatch, capsys):
         return build_plan(*args)
 
     monkeypatch.setattr(comparison, "build_plan", counting_build_plan)
-    assert main(["compare-dirichlet", "--family", "path(4)", "--k", "3",
-                 "--panel", "2"]) == 0
+    assert main(["compare-dirichlet", "--family", "path(4)", "--k", "3"]) == 0
     report = parse_report(capsys.readouterr().out)
     bounds = next(r for r in report.records if r.name == "per_case_cost_bounds")
     assert calls == bounds.computed["triples"] > 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sipspectra import cli, metastable
+from sipspectra import cli, metastable, spectral
 from sipspectra.configspace import enumerate_configs
 from sipspectra.generators import CertificationError, build_sip, build_slow_fast
 from sipspectra.graphs import WeightedGraph, complete, h_shape, path_graph, torus
@@ -11,6 +11,7 @@ from sipspectra.metastable import (
     build_chain,
     harmonic_projection,
     lambda_km,
+    restricted_annihilation,
     restricted_annihilation_residual,
     single_stack_gap,
     slow_fast_convergence,
@@ -29,8 +30,12 @@ CHAIN_CASES = [
 ]
 
 
+def _projection(g, k):
+    return harmonic_projection(build_slow_fast(g, k)[1])
+
+
 def test_projection_two_exit_split():
-    proj = harmonic_projection(path_graph(3), 2)
+    proj = _projection(path_graph(3), 2)
     space = proj.space
     row = proj.matrix[space.index_of((1, 1, 0))]
     targets = {space.config(space.omega[j]): v for j, v in enumerate(row) if v > 0}
@@ -39,7 +44,7 @@ def test_projection_two_exit_split():
 
 def test_projection_point_masses_and_row_sums():
     for g, k in CHAIN_CASES:
-        proj = harmonic_projection(g, k)
+        proj = _projection(g, k)
         space = proj.space
         sums = proj.matrix.sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-10
@@ -57,7 +62,7 @@ def test_projection_point_masses_and_row_sums():
 def test_gamblers_ruin_exit_probabilities():
     # a stack of k-1 with a lone neighbor: the walk on 0..k started at k-1
     for k in (2, 3, 4):
-        proj = harmonic_projection(path_graph(2), k)
+        proj = _projection(path_graph(2), k)
         space = proj.space
         src = space.index_of((k - 1, 1))
         to_all_b = proj.matrix[src][list(space.omega).index(space.index_of((0, k)))]
@@ -138,7 +143,7 @@ def test_residual_checks_raise_certification_errors(monkeypatch):
         lambda_km(chain, 2)
     monkeypatch.setattr(metastable, "ABSORB_RESIDUAL_TOL", -1.0)
     with pytest.raises(CertificationError, match="absorption solve residual"):
-        harmonic_projection(path_graph(3), 2)
+        _projection(path_graph(3), 2)
 
 
 def test_singular_transient_block_is_a_certificate_failure():
@@ -151,22 +156,46 @@ def test_singular_transient_block_is_a_certificate_failure():
     B.rates = rates.tocsr()
     B.diagonal[row] = 0.0
     with pytest.raises(CertificationError, match="singular transient block"):
-        harmonic_projection(g, 2, space, B)
+        harmonic_projection(B)
 
 
 def test_metastable_command_builds_each_limit_chain_once(monkeypatch, capsys):
-    calls = []
-    build = metastable.build_chain
+    # and each piece of a chain once: its slow-fast pair, and per stack
+    # sector one generator and one eigensolve
+    chains, pairs, block_generators, sector_solves = [], [], [], []
+    build, split, make, symmetrized = (metastable.build_chain, metastable.build_slow_fast,
+                                       metastable.GeneratorMatrix, spectral.symmetrized)
 
-    def counted(g, k, space=None):
-        calls.append(k)
+    def counted_build(g, k, space=None):
+        chains.append(k)
         return build(g, k, space)
 
-    monkeypatch.setattr(metastable, "build_chain", counted)
-    code = cli.main(["metastable", "--family", "h_shape", "--k", "3", "--eps", "0.1"])
+    def counted_split(g, k, space=None):
+        pairs.append(k)
+        return split(g, k, space)
+
+    def counted_make(*args, **kwargs):
+        L = make(*args, **kwargs)
+        if L.reference is not None:  # a stack block; the limit generator has none
+            block_generators.append(L.size)
+        return L
+
+    def counted_symmetrized(L, dense):
+        if L.space is None:  # a stack block, not a full-space generator
+            sector_solves.append(L.size)
+        return symmetrized(L, dense)
+
+    monkeypatch.setattr(metastable, "build_chain", counted_build)
+    monkeypatch.setattr(metastable, "build_slow_fast", counted_split)
+    monkeypatch.setattr(metastable, "GeneratorMatrix", counted_make)
+    monkeypatch.setattr(spectral, "symmetrized", counted_symmetrized)
+    code = cli.main(["metastable", "--family", "h_shape", "--k", "4", "--eps", "0.1,0.01"])
     assert code == cli.EXIT_PASS
-    assert sorted(calls) == [2, 3]
     assert '"slow_fast_convergence"' in capsys.readouterr().out
+    assert sorted(chains) == sorted(pairs) == [3, 4]
+    assert len(block_generators) == 4  # the four stack sectors of the k = 4 chain
+    assert len(sector_solves) == 4  # one rate per sector, read by w_k and the report
+    assert sorted(sector_solves) == sorted(block_generators)
 
 
 def test_lambda_collapse_and_ordering():
@@ -206,11 +235,22 @@ def test_w_k_one_particle_is_walk_gap():
     (h_shape(), 5, 1e-9),
 ])
 def test_restricted_intertwining(g, k, tol):
-    assert restricted_annihilation_residual(g, k) < tol
+    assert restricted_annihilation_residual(build_chain(g, k), build_chain(g, k - 1)) < tol
+
+
+def test_restricted_annihilation_rejects_a_mismatched_lower_chain():
+    g = path_graph(3)
+    chain = build_chain(g, 3)
+    for prev in (build_chain(g, 1), build_chain(path_graph(3, alpha=2.0), 2),
+                 build_chain(complete(3), 2)):
+        with pytest.raises(ValueError, match="2 particles on the same graph"):
+            restricted_annihilation(chain, prev)
+    # an equal graph built separately is the same graph
+    assert restricted_annihilation_residual(chain, build_chain(path_graph(3), 2)) < 1e-10
 
 
 def test_slow_fast_convergence_rows():
-    rows = slow_fast_convergence(path_graph(3), 2, t=1.0,
+    rows = slow_fast_convergence(build_chain(path_graph(3), 2), t=1.0,
                                  eps_grid=(1e-1, 1e-2, 1e-3))
     devs = [r.semigroup_deviation for r in rows]
     assert all(devs[i + 1] <= devs[i] for i in range(len(devs) - 1))
@@ -235,7 +275,7 @@ def test_slow_fast_crossover_instance():
 
 def test_slow_fast_rejects_tiny_diffusivity():
     with pytest.raises(ValueError, match="below"):
-        slow_fast_convergence(path_graph(3), 2, t=1.0, eps_grid=(1e-2, 1e-4))
+        slow_fast_convergence(build_chain(path_graph(3), 2), t=1.0, eps_grid=(1e-2, 1e-4))
 
 
 def test_merged_stack_rates_by_first_step_analysis():

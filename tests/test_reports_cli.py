@@ -171,7 +171,7 @@ def test_cli_graph_file_round_trip(tmp_path):
 def test_cli_compare_subcommand(tmp_path):
     out = tmp_path / "cmp.json"
     code = main(["compare-dirichlet", "--family", "path(3)", "--k", "2",
-                 "--panel", "10", "--out", str(out)])
+                 "--out", str(out)])
     assert code == 0
     report = parse_report(out.read_text())
     names = [r.name for r in report.records]
@@ -263,3 +263,12 @@ def test_cli_verify_all_single_criterion(capsys):
     assert main(["verify-all", "--only", "1"]) == 0
     out = capsys.readouterr().out
     assert "criterion-1-reversibility: pass" in out
+
+
+def test_cli_verify_all_rejects_an_unknown_criterion_before_running_any(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli.acceptance, "run_criterion", ran.append)
+    assert main(["verify-all", "--only", "2,99"]) == cli.EXIT_INPUT
+    assert ran == []
+    err = capsys.readouterr().err
+    assert "unknown criteria [99]; valid: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]" in err

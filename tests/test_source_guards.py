@@ -3,7 +3,8 @@
 The package source is parsed with ``ast``, never imported.  No module may
 import another module's private (underscore) name, and only ``spectral`` may
 call an eigensolver, so every eigenvalue the library reports has passed its
-asymmetry certificate.
+asymmetry certificate.  Only ``metastable.build_chain`` splits a generator
+into its slow-fast pair; every other reader takes the built chain.
 """
 
 import ast
@@ -18,6 +19,29 @@ EIGENSOLVERS = {"eigvalsh", "eigh", "eigsh", "eig"}
 def _modules():
     return [(path.stem, ast.parse(path.read_text(), filename=str(path)))
             for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def _called(node: ast.Call):
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _call_sites(name: str) -> list[tuple[str, str | None]]:
+    """(module, innermost enclosing function) of every call to ``name``."""
+    sites = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call) and _called(child) == name:
+                sites.append((module, where))
+            visit(child, module, where)
+
+    for module, tree in _modules():
+        visit(tree, module, None)
+    return sites
 
 
 def test_the_package_has_modules_to_scan():
@@ -42,8 +66,11 @@ def test_only_spectral_calls_an_eigensolver():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            called = _called(node)
             if called in EIGENSOLVERS:
                 found.append(f"{name}:{node.lineno} calls {called}")
     assert found == []
+
+
+def test_only_build_chain_splits_into_the_slow_fast_pair():
+    assert _call_sites("build_slow_fast") == [("metastable", "build_chain")]

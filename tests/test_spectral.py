@@ -91,12 +91,12 @@ def test_one_symmetrization_per_eigensolve(monkeypatch):
 
     monkeypatch.setattr(spectral, "symmetrized", counting)
     L = build_sip(path_graph(4), 2)  # 10 states
-    chain = build_chain(path_graph(5), 3)
-    block = chain.blocks[2].local.size
+    block = build_chain(path_graph(5), 3).blocks[2].local.size
     requests = [(L.size, lambda: spectrum(L)),
                 (L.size, lambda: spectral_gap(L)),
                 (L.size, lambda: bottom_eigenpairs(L)),
-                (block, lambda: lambda_km(chain, 2))]
+                # a fresh chain: a built one keeps its sector rates
+                (block, lambda: lambda_km(build_chain(path_graph(5), 3), 2))]
     for size, request in requests:
         for cap, dense in ((size, True), (size - 1, False)):
             monkeypatch.setattr(spectral, "DENSE_CAP", cap)

@@ -5,7 +5,7 @@ Dirichlet-form comparisons against the complete graph, and the open-system
 duality machinery, packaged as a library with an experiment CLI.
 """
 
-from .configspace import ConfigSpace, SpaceCapExceeded, enumerate_configs, move, stack_count
+from .configspace import ConfigSpace, SpaceCapExceeded, enumerate_configs
 from .generators import (
     CertificationError,
     GeneratorMatrix,
@@ -30,7 +30,7 @@ from .graphs import (
     shortest_path,
     torus,
 )
-from .measures import WeightedMeasure, mu, nu_log, varsigma
-from .spectral import GapScan, Spectrum, expm_action, gap_sip, rayleigh, spectral_gap, spectrum
+from .measures import WeightedMeasure, mu
+from .spectral import GapScan, Spectrum, expm_action, gap_sip, spectral_gap, spectrum
 
 __version__ = "0.1.0"

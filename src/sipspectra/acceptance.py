@@ -30,13 +30,16 @@ from .spectral import gap_sip, spectrum
 __all__ = ["CRITERIA", "run_criterion", "standard_suite"]
 
 MIXED_PATTERN = (0.3, 2.0, 0.7, 1.2, 0.4, 1.7)
+K_MAX = 4              # particle numbers 1..K_MAX in criteria 1-6, 8 and 11
+SLOW_FAST_K_MAX = 3    # limit chains and semigroups of criterion 9
+LIFT_K_MAX = 3         # lifted killed eigenpairs of criterion 12
 
 
-def _mixed(n: int, scale: float = 1.0, floor: float | None = None) -> np.ndarray:
+def _mixed(n: int, floor: float | None = None) -> np.ndarray:
     base = np.array([MIXED_PATTERN[i % len(MIXED_PATTERN)] for i in range(n)])
     if floor is not None:
         base = base / base.min() * floor
-    return scale * base
+    return base
 
 
 def standard_suite() -> list[tuple[str, WeightedGraph]]:
@@ -73,16 +76,16 @@ def _timed(report: ExperimentReport, name: str, reference: str, target: str,
                            wall_clock=time.perf_counter() - started))
 
 
-def criterion_1_reversibility(k_max: int = 4) -> ExperimentReport:
+def criterion_1_reversibility() -> ExperimentReport:
     """Detailed balance of the conservative generator over the suite."""
     report = ExperimentReport("criterion-1-reversibility",
-                              {"k_max": k_max, "tolerance": 1e-12})
+                              {"k_max": K_MAX, "tolerance": 1e-12})
     for gname, base in standard_suite():
         for aname, alpha in _alpha_patterns(base.n):
             g = base.with_alpha(alpha)
             t0 = time.perf_counter()
             worst = 0.0
-            for k in range(1, k_max + 1):
+            for k in range(1, K_MAX + 1):
                 worst = max(worst, build_sip(g, k).detailed_balance_residual())
             _timed(report, f"{gname}/{aname}",
                    "stationary weights satisfy detailed balance for the inclusion rates",
@@ -91,10 +94,10 @@ def criterion_1_reversibility(k_max: int = 4) -> ExperimentReport:
     return report
 
 
-def criterion_2_one_particle_identity(k_max: int = 4) -> ExperimentReport:
+def criterion_2_one_particle_identity() -> ExperimentReport:
     """Gap equals the walk gap whenever every site weight is at least one."""
     report = ExperimentReport("criterion-2-one-particle-identity",
-                              {"k_max": k_max, "tolerance": 1e-8})
+                              {"k_max": K_MAX, "tolerance": 1e-8})
     patterns = [("const_1", lambda n: np.ones(n)),
                 ("const_2", lambda n: np.full(n, 2.0)),
                 ("mixed_geq1", lambda n: _mixed(n, floor=1.0))]
@@ -102,7 +105,7 @@ def criterion_2_one_particle_identity(k_max: int = 4) -> ExperimentReport:
         for aname, make in patterns:
             g = base.with_alpha(make(base.n))
             t0 = time.perf_counter()
-            gap1, *gaps = gap_sip(g, k_max).gaps
+            gap1, *gaps = gap_sip(g, K_MAX).gaps
             dev = max(abs(gap - gap1) / gap1 for gap in gaps)
             _timed(report, f"{gname}/{aname}",
                    "many-particle gap collapses to the walk gap for log-concave weights",
@@ -112,7 +115,7 @@ def criterion_2_one_particle_identity(k_max: int = 4) -> ExperimentReport:
     return report
 
 
-def criterion_3_sandwich_and_lower_bound(k_max: int = 4) -> ExperimentReport:
+def criterion_3_sandwich_and_lower_bound() -> ExperimentReport:
     """Walk-gap sandwich and the explicit linear lower bound, small weights."""
     report = ExperimentReport("criterion-3-sandwich-lower-bound",
                               {"alpha_min": [0.05, 0.2, 0.5],
@@ -124,7 +127,7 @@ def criterion_3_sandwich_and_lower_bound(k_max: int = 4) -> ExperimentReport:
         for amin in (0.05, 0.2, 0.5):
             for pname, alpha in (("const", np.full(base.n, amin)),
                                  ("mixed", _mixed(base.n, floor=amin))):
-                for row in bounds_report_rows(base.with_alpha(alpha), k_max,
+                for row in bounds_report_rows(base.with_alpha(alpha), K_MAX,
                                               (1.0, 0.1, 0.01)):
                     if not (row.sandwich_ok and row.linear_ok):
                         ok = False
@@ -140,10 +143,10 @@ def criterion_3_sandwich_and_lower_bound(k_max: int = 4) -> ExperimentReport:
     return report
 
 
-def criterion_4_complete_graph_spectrum(k_max: int = 4) -> ExperimentReport:
+def criterion_4_complete_graph_spectrum() -> ExperimentReport:
     """Closed-form complete-graph spectra with multiplicities."""
     report = ExperimentReport("criterion-4-complete-spectrum",
-                              {"k_max": k_max, "tolerance": 1e-8})
+                              {"k_max": K_MAX, "tolerance": 1e-8})
     cases = [(n, aname, alpha)
              for n in (2, 3, 4)
              for aname, alpha in (("const_1", np.ones(n)),
@@ -154,7 +157,7 @@ def criterion_4_complete_graph_spectrum(k_max: int = 4) -> ExperimentReport:
         t0 = time.perf_counter()
         worst = 0.0
         ok = True
-        for k in range(1, k_max + 1):
+        for k in range(1, K_MAX + 1):
             rep = intertwiners.complete_graph_check(g, k)
             worst = max(worst, rep.spectrum_deviation)
             ok = ok and rep.multiplicities_match and rep.spectrum_deviation < 1e-8
@@ -173,18 +176,18 @@ def criterion_4_complete_graph_spectrum(k_max: int = 4) -> ExperimentReport:
     return report
 
 
-def criterion_5_intertwining(k_max: int = 4) -> ExperimentReport:
+def criterion_5_intertwining() -> ExperimentReport:
     """Consistency and adjointness of the level-coupling operators."""
     report = ExperimentReport("criterion-5-intertwining",
-                              {"k_max": k_max, "tolerance": 1e-11})
+                              {"k_max": K_MAX, "tolerance": 1e-11})
     for gname, base in standard_suite():
         for aname, alpha in _alpha_patterns(base.n):
             g = base.with_alpha(alpha)
             t0 = time.perf_counter()
             cons = max(intertwiners.consistency_residual(g, k)
-                       for k in range(2, k_max + 1))
+                       for k in range(2, K_MAX + 1))
             adj = max(intertwiners.adjointness_residual(g, k)
-                      for k in range(1, k_max + 1))
+                      for k in range(1, K_MAX + 1))
             worst = max(cons, adj)
             _timed(report, f"{gname}/{aname}",
                    "particle-removal operator commutes with the dynamics and "
@@ -207,23 +210,23 @@ _COMPARISON_CASES = [
 ]
 
 
-def criterion_6_dirichlet_comparison(k_max: int = 4) -> ExperimentReport:
+def criterion_6_dirichlet_comparison() -> ExperimentReport:
     """Graph-versus-complete-graph comparison, plans, overlaps, case bounds."""
     report = ExperimentReport("criterion-6-dirichlet-comparison",
-                              {"k_max": k_max, "panel": 50})
+                              {"k_max": K_MAX, "panel": 50})
     for gname, make in _COMPARISON_CASES:
         n = make(1.0).n
         for aname, alpha in (("const_1", 1.0), ("const_0.3", 0.3),
                              ("mixed", _mixed(n))):
             g = make(alpha)
             t0 = time.perf_counter()
-            comp = comparison.verify_key_ing(g, k_max)
+            comp = comparison.verify_key_ing(g, K_MAX)
             max_overlap = 0
             bound_violations = 0
             triples = 0
             worst_margin = 0.0
             max_div = 0.0
-            for k in range(2, k_max + 1):
+            for k in range(2, K_MAX + 1):
                 bounds = comparison.case_bound_report(g, k)
                 bound_violations += bounds.violations
                 triples += bounds.triples
@@ -300,23 +303,23 @@ def criterion_7_metastable_structure() -> ExperimentReport:
     return report
 
 
-def criterion_8_eigenvalue_collapse(k_max: int = 4) -> ExperimentReport:
+def criterion_8_eigenvalue_collapse() -> ExperimentReport:
     """Sector rates depend only on the stack count and grow from two stacks."""
     report = ExperimentReport("criterion-8-eigenvalue-collapse",
-                              {"k_max": k_max, "tolerance": 1e-8})
+                              {"k_max": K_MAX, "tolerance": 1e-8})
     for gname, base in standard_suite():
         for aname, alpha in (("const_1", np.ones(base.n)),
                              ("mixed", _mixed(base.n))):
             g = base.with_alpha(alpha)
             t0 = time.perf_counter()
             chains = {k: metastable.build_chain(g, k)
-                      for k in range(2, k_max + 1)}
+                      for k in range(2, K_MAX + 1)}
             collapse_dev = 0.0
             order_margin = math.inf
             l22 = metastable.lambda_km(chains[2], 2)
-            for m in range(2, k_max + 1):
+            for m in range(2, K_MAX + 1):
                 base_val = metastable.lambda_km(chains[m], m)
-                for k in range(m, k_max + 1):
+                for k in range(m, K_MAX + 1):
                     val = metastable.lambda_km(chains[k], m)
                     if math.isinf(base_val) or math.isinf(val):
                         if base_val != val:
@@ -324,7 +327,7 @@ def criterion_8_eigenvalue_collapse(k_max: int = 4) -> ExperimentReport:
                         continue
                     collapse_dev = max(collapse_dev, abs(val - base_val)
                                        / max(base_val, 1.0))
-            for k in range(2, k_max + 1):
+            for k in range(2, K_MAX + 1):
                 lkk = metastable.lambda_km(chains[k], k)
                 order_margin = min(order_margin, lkk - l22)
             ok = collapse_dev < 1e-8 and order_margin >= -1e-8
@@ -353,7 +356,7 @@ SLOW_FAST_INSTANCES = [
 EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
 
-def criterion_9_slow_fast_limits(k_max: int = 3) -> ExperimentReport:
+def criterion_9_slow_fast_limits() -> ExperimentReport:
     """Gap, semigroup, and absorption convergence toward the limit chain."""
     report = ExperimentReport("criterion-9-slow-fast",
                               {"eps_grid": list(EPS_GRID)})
@@ -362,8 +365,8 @@ def criterion_9_slow_fast_limits(k_max: int = 3) -> ExperimentReport:
         t0 = time.perf_counter()
         ok = True
         final_rel = 0.0
-        scans = [gap_sip(g.scaled_alpha(e), k_max).gaps for e in EPS_GRID]
-        for k in range(1, k_max + 1):
+        scans = [gap_sip(g.scaled_alpha(e), SLOW_FAST_K_MAX).gaps for e in EPS_GRID]
+        for k in range(1, SLOW_FAST_K_MAX + 1):
             chains[gname, k] = metastable.build_chain(g, k)
             wk = metastable.w_k(chains[gname, k])
             errs = [abs(gaps[k - 1] / e - wk) for gaps, e in zip(scans, EPS_GRID)]
@@ -385,7 +388,7 @@ def criterion_9_slow_fast_limits(k_max: int = 3) -> ExperimentReport:
                "|gap_k/gap_2 - 1| < 0.02 at eps = 1e-3 for k = 3, 4",
                0.02, {"max_deviation": dev}, dev < 0.02, t0)
     # semigroup convergence and absorbing mass on the pinned instance
-    for k in range(2, k_max + 1):
+    for k in range(2, SLOW_FAST_K_MAX + 1):
         t0 = time.perf_counter()
         rows = metastable.slow_fast_convergence(chains["path_3", k], t=1.0, eps_grid=EPS_GRID)
         devs = [r.semigroup_deviation for r in rows]
@@ -435,10 +438,10 @@ def criterion_10_torus_crossover() -> ExperimentReport:
     return report
 
 
-def criterion_11_killed_gap_identity(k_max: int = 4) -> ExperimentReport:
+def criterion_11_killed_gap_identity() -> ExperimentReport:
     """Absorbing-chain gaps equal the killed walk gap, any interaction strength."""
     report = ExperimentReport("criterion-11-killed-identity",
-                              {"k_max": k_max, "tolerance": 1e-8})
+                              {"k_max": K_MAX, "tolerance": 1e-8})
     omega_patterns = [("first_site", lambda n: np.eye(n)[0]),
                       ("uniform", lambda n: np.ones(n)),
                       ("half", lambda n: (np.arange(n) % 2).astype(float))]
@@ -452,7 +455,7 @@ def criterion_11_killed_gap_identity(k_max: int = 4) -> ExperimentReport:
             ok = True
             for oname, make in omega_patterns:
                 omega = make(base.n)
-                rep = nonconservative.gap_identity_check(g, omega, k_max)
+                rep = nonconservative.gap_identity_check(g, omega, K_MAX)
                 worst = max(worst, rep.max_relative_deviation)
                 ok = ok and rep.identity_holds
             _timed(report, f"{gname}/{aname}",
@@ -462,7 +465,7 @@ def criterion_11_killed_gap_identity(k_max: int = 4) -> ExperimentReport:
     # pinned two-site instance and survival domination
     t0 = time.perf_counter()
     g2 = path_graph(2)
-    rep = nonconservative.gap_identity_check(g2, (1.0, 0.0), k_max)
+    rep = nonconservative.gap_identity_check(g2, (1.0, 0.0), K_MAX)
     golden = (3.0 - math.sqrt(5.0)) / 2.0
     dev = abs(rep.chain_gaps[0] - golden)
     _timed(report, "two_site/pinned_gap",
@@ -481,9 +484,9 @@ def criterion_11_killed_gap_identity(k_max: int = 4) -> ExperimentReport:
     return report
 
 
-def criterion_12_duality_suite(k_max: int = 3) -> ExperimentReport:
+def criterion_12_duality_suite() -> ExperimentReport:
     """Lifted eigen-relations, kernel orthogonality, lookdown symmetrization."""
-    report = ExperimentReport("criterion-12-duality", {"k_max": k_max})
+    report = ExperimentReport("criterion-12-duality", {"k_max": LIFT_K_MAX})
     t0 = time.perf_counter()
     worst = 0.0
     for g in (path_graph(3), h_shape(), torus(4, 1)):
@@ -493,7 +496,7 @@ def criterion_12_duality_suite(k_max: int = 3) -> ExperimentReport:
                     (first + 0.5 * np.eye(n)[1], 0.3, 0.3),
                     (0.5 * first + last, np.resize((0.1, 0.4, 0.2), n), 0.5)]
         for omega, theta, rho in settings:
-            for k in range(1, k_max + 1):
+            for k in range(1, LIFT_K_MAX + 1):
                 vals, vecs, _ = nonconservative.killed_eigenpairs(g, omega, k)
                 for i in range(len(vals)):
                     worst = max(worst, nonconservative.eigen_lift_residual(

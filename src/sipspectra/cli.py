@@ -17,7 +17,13 @@ import numpy as np
 
 from . import acceptance, comparison, metastable, nonconservative
 from .configspace import DEFAULT_CAP, SpaceCapExceeded, enumerate_configs
-from .experiments import BOUNDS_TOL, bounds_report_rows, quadratic_crossover, torus_experiment
+from .experiments import (
+    BOUNDS_TOL,
+    bounds_report_rows,
+    quadratic_crossover,
+    torus_experiment,
+    unit_walk_gap,
+)
 from .generators import CertificationError, build_killed, build_sip
 from .graphs import GraphError, WeightedGraph, build_family, graph_to_document, parse_graph
 from .reports import CheckRecord, ExperimentReport, emit_report
@@ -92,7 +98,9 @@ def _cmd_gap(args) -> int:
         passed=base.linear_ok))
     if eps_grid:
         t0 = time.perf_counter()
-        crossover = quadratic_crossover(g)
+        gap_hat = unit_walk_gap(g)
+        a_min = float(g.alpha.min())  # eps * a_min == min(eps * alpha) bit for bit
+        crossover = quadratic_crossover(g, gap_hat)
         report.add(CheckRecord(
             name="bounds_table",
             reference="gap bounds across the diffusivity grid; the linear "
@@ -102,7 +110,7 @@ def _cmd_gap(args) -> int:
                 "eps": r.eps, "gap_rw": r.scan.gaps[0], "gap_sip": r.scan.gap_sip,
                 "sandwich_lower": r.sandwich_lower,
                 "linear_lower": r.linear_lower,
-                "quadratic_lower": r.quadratic_lower} for r in rows],
+                "quadratic_lower": (r.eps * a_min)**2 * gap_hat} for r in rows],
                 "quadratic_crossover_eps": crossover},
             target="sandwich and linear bound hold on every row",
             tolerance=BOUNDS_TOL,
@@ -347,12 +355,12 @@ def _add_common(p: argparse.ArgumentParser, graph: bool = True) -> None:
         p.add_argument("--graph", help="graph description file (JSON)")
         p.add_argument("--family", help="family spec, e.g. torus(4,2) or path(3)")
         p.add_argument("--alpha", help="comma-separated site weights override")
+        p.add_argument("--budget", type=int, default=DEFAULT_CAP,
+                       help="state-space size budget")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock fields (breaks byte-determinism)")
-    p.add_argument("--budget", type=int, default=DEFAULT_CAP,
-                   help="state-space size budget")
 
 
 def main(argv=None) -> int:
@@ -394,13 +402,15 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("torus", help="crossover scan on the torus")
     _add_common(p, graph=False)
+    p.add_argument("--budget", type=int, default=DEFAULT_CAP,
+                   help="largest torus, in vertices")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--n-range", default="6:40",
                    help="inclusive size range lo:hi")
     p.set_defaults(func=_cmd_torus)
 
     p = sub.add_parser("verify-all", help="run the acceptance criteria")
-    _add_common(p, graph=False)
+    _add_common(p, graph=False)  # fixed instances: no budget
     p.add_argument("--only", help="comma-separated criterion numbers")
     p.set_defaults(func=_cmd_verify_all)
 

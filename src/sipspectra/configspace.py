@@ -27,8 +27,6 @@ __all__ = [
     "SpaceCapExceeded",
     "ConfigSpace",
     "enumerate_configs",
-    "move",
-    "stack_count",
 ]
 
 DEFAULT_CAP = 300_000  # state-space budget: the default of --budget and of every cap
@@ -46,21 +44,6 @@ def _compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def move(occupation: tuple[int, ...], x: int, y: int) -> tuple[int, ...]:
-    """Relocate one particle from site x to site y (dense indices)."""
-    if occupation[x] < 1:
-        raise ValueError(f"no particle to move at site index {x}")
-    out = list(occupation)
-    out[x] -= 1
-    out[y] += 1
-    return tuple(out)
-
-
-def stack_count(occupation) -> int:
-    """Number of occupied sites."""
-    return int(np.count_nonzero(np.asarray(occupation)))
 
 
 @dataclass(frozen=True)

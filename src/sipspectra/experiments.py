@@ -31,8 +31,8 @@ __all__ = [
     "torus_experiment",
     "BoundsRow",
     "bounds_report_rows",
+    "unit_walk_gap",
     "quadratic_crossover",
-    "explicit_lower_bound",
 ]
 
 
@@ -211,11 +211,6 @@ def _linear_bound(met: GraphMetrics, n: int) -> float:
         * met.c_min / (n**2 * met.diameter)
 
 
-def explicit_lower_bound(g: WeightedGraph) -> float:
-    """Explicit lower bound on the many-particle gap from graph features."""
-    return _linear_bound(metrics(g), g.n)
-
-
 BOUNDS_TOL = 1e-8  # slack of the sandwich and linear-bound checks
 
 
@@ -225,7 +220,6 @@ class BoundsRow:
     scan: GapScan                # at weights eps * alpha; gaps[0] is gap_rw
     sandwich_lower: float        # (1 ^ alpha_min) gap_rw
     linear_lower: float          # explicit graph-feature bound
-    quadratic_lower: float       # alpha_min^2 gap_rw(unit-scale weights)
     sandwich_ok: bool
     linear_ok: bool
 
@@ -235,14 +229,13 @@ def bounds_report_rows(g: WeightedGraph, k_max: int = 4, eps_grid=(1.0, 0.1, 0.0
     """Tabulate the gap bounds across a diffusivity grid, one row per eps.
 
     The base weights of g are treated as the shape; each row rescales them by
-    eps and compares the many-particle gap against the walk sandwich, the
-    linear-in-the-smallest-weight bound, and the naive quadratic bound.  This
-    is the one place those bounds are evaluated.  Each distinct eps is scanned
-    once, with every configuration space held to ``cap``.
+    eps and compares the many-particle gap against the walk sandwich and the
+    linear-in-the-smallest-weight bound.  This is the one place those bounds
+    are evaluated.  Each distinct eps is scanned once, with every
+    configuration space held to ``cap``.
     """
     if k_max < 2:
         raise ValueError(f"k_max must be at least 2 for a many-particle gap, got {k_max}")
-    base_gap_hat = spectral_gap(build_sip(g.with_alpha(g.alpha / g.alpha.min()), 1))
     rows: dict[float, BoundsRow] = {}
     for eps in map(float, eps_grid):
         if eps in rows:
@@ -258,7 +251,6 @@ def bounds_report_rows(g: WeightedGraph, k_max: int = 4, eps_grid=(1.0, 0.1, 0.0
             scan=scan,
             sandwich_lower=lower,
             linear_lower=linear,
-            quadratic_lower=met.alpha_min**2 * base_gap_hat,
             sandwich_ok=(lower - BOUNDS_TOL <= gap <= gap_rw + BOUNDS_TOL),
             linear_ok=(gap >= linear - BOUNDS_TOL),
         )
@@ -268,13 +260,20 @@ def bounds_report_rows(g: WeightedGraph, k_max: int = 4, eps_grid=(1.0, 0.1, 0.0
 CROSSOVER_EPS_MAX = 1.0  # quadratic_crossover bisects on (0, CROSSOVER_EPS_MAX]
 
 
-def quadratic_crossover(g: WeightedGraph) -> float | None:
+def unit_walk_gap(g: WeightedGraph) -> float:
+    """Walk gap at the unit-scale weights alpha / alpha_min; the naive
+    quadratic bound at diffusivity eps is (eps alpha_min)^2 times it."""
+    return spectral_gap(build_sip(g.with_alpha(g.alpha / g.alpha.min()), 1))
+
+
+def quadratic_crossover(g: WeightedGraph, gap_hat: float) -> float | None:
     """Diffusivity below which the linear bound beats the naive quadratic one.
 
-    The quadratic bound scales like eps^2 while the explicit bound is linear
-    in eps up to the slowly varying weight-dependent factor, so they cross
-    once; found by bisection on (0, CROSSOVER_EPS_MAX].  None when the linear
-    bound already wins there.
+    On the weights eps * alpha / alpha_min the naive quadratic bound is
+    eps^2 gap_hat, with gap_hat = ``unit_walk_gap(g)``.  It scales like eps^2
+    while the explicit bound is linear in eps up to the slowly varying
+    weight-dependent factor, so they cross once; found by bisection on
+    (0, CROSSOVER_EPS_MAX].  None when the linear bound already wins there.
 
     Diameter and conductances do not depend on the weights, and the rescaled
     weights eps * alpha / alpha_min enter the bound only through their
@@ -282,14 +281,13 @@ def quadratic_crossover(g: WeightedGraph) -> float | None:
     scalar extremes below equal min and max of that array bit for bit, and
     each margin is scalar arithmetic on features computed once per call.
     """
-    base_gap_hat = spectral_gap(build_sip(g.with_alpha(g.alpha / g.alpha.min()), 1))
     met = metrics(g)
     a_min, a_max = met.alpha_min, met.alpha_max
 
     def margin(eps: float) -> float:
         low, high = eps * a_min / a_min, eps * a_max / a_min
         scaled = replace(met, alpha_min=low, alpha_max=high, alpha_ratio=low / high)
-        return _linear_bound(scaled, g.n) - low**2 * base_gap_hat
+        return _linear_bound(scaled, g.n) - low**2 * gap_hat
 
     if margin(CROSSOVER_EPS_MAX) > 0:
         return None

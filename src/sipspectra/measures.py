@@ -20,9 +20,6 @@ __all__ = [
     "mu",
     "log_partition",
     "log_mu_rows",
-    "nu_log",
-    "nu_log_rows",
-    "varsigma",
     "varsigma_rows",
     "negbin_tail_cutoff",
 ]
@@ -105,25 +102,6 @@ def mu(g: WeightedGraph, space: ConfigSpace) -> WeightedMeasure:
     return WeightedMeasure(log_weights=lw, normalized=True)
 
 
-def nu_log_rows(alpha, rho: float, occ) -> np.ndarray:
-    """Log equilibrium product-measure weights at reservoir density rho."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    alpha = np.asarray(alpha, dtype=float)
-    occ = np.atleast_2d(np.asarray(occ))
-    totals = occ.sum(axis=1)
-    return (
-        _log_pi_rows(alpha, occ)
-        + totals * (np.log(rho) - np.log1p(rho))
-        - alpha.sum() * np.log1p(rho)
-    )
-
-
-def nu_log(g: WeightedGraph, rho: float, occupation) -> float:
-    """Log probability of a single configuration under the product measure."""
-    return float(nu_log_rows(g.alpha, rho, [occupation])[0])
-
-
 def varsigma_rows(alpha, occ) -> np.ndarray:
     """Symmetrizing weights prod_{occupied x} alpha_x / eta_x for each row."""
     alpha = np.asarray(alpha, dtype=float)
@@ -134,21 +112,11 @@ def varsigma_rows(alpha, occ) -> np.ndarray:
     return terms.prod(axis=1)
 
 
-def varsigma(g: WeightedGraph, occupation) -> float:
-    """Symmetrizing weight of an absorbing configuration.
-
-    Raises if two occupied sites are joined by an edge, i.e. the configuration
-    is not absorbing for the pure-interaction dynamics.
-    """
-    occ = np.asarray(occupation)
-    occupied = occ > 0
-    if np.any(occupied & (occupied @ g.adjacency)):
-        raise ValueError("configuration has adjacent occupied sites")
-    return float(varsigma_rows(g.alpha, occ)[0])
+TAIL_CUTOFF_CAP = 100_000  # negbin_tail_cutoff gives up above this level
 
 
 def negbin_tail_cutoff(alpha_x: float, rho: float, tol: float = 1e-12,
-                       poly_degree: int = 0, cap: int = 100_000) -> int:
+                       poly_degree: int = 0) -> int:
     """Smallest truncation level with a certified tail bound below tol.
 
     Bounds the tail of sum_m pi_x(m) (rho/(1+rho))^m (1+rho)^(-alpha) m^deg by
@@ -161,7 +129,7 @@ def negbin_tail_cutoff(alpha_x: float, rho: float, tol: float = 1e-12,
     q_target = (1.0 + p) / 2.0
     log_term = -alpha_x * np.log1p(rho)  # log of the m = 0 term
     m = 0
-    while m < cap:
+    while m < TAIL_CUTOFF_CAP:
         m += 1
         log_term += np.log((alpha_x + m - 1) / m) + np.log(p)
         # every step ratio beyond m is bounded by r_star (term ratios drift
@@ -173,4 +141,4 @@ def negbin_tail_cutoff(alpha_x: float, rho: float, tol: float = 1e-12,
                     + np.log(r_star) - np.log1p(-r_star))
         if log_tail < np.log(tol):
             return m
-    raise RuntimeError(f"no certified truncation level below cap {cap}")
+    raise RuntimeError(f"no certified truncation level below {TAIL_CUTOFF_CAP}")

@@ -27,7 +27,6 @@ from .configspace import ConfigSpace, SpaceCapExceeded, enumerate_configs
 from .generators import (
     CertificationError,
     GeneratorMatrix,
-    build_sip,
     build_slow_fast,
     combine_slow_fast,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "build_chain",
     "StackBlock",
     "lambda_km",
-    "single_stack_gap",
     "w_k",
     "restricted_annihilation",
     "restricted_annihilation_residual",
@@ -213,11 +211,6 @@ def lambda_km(chain: MetastableChain, m: int) -> float:
     return math.inf if block is None else block.rate
 
 
-def single_stack_gap(chain: MetastableChain) -> float:
-    """Gap of the single-stack walk (the recurrent part of the chain)."""
-    return chain.blocks[1].rate
-
-
 def w_k(chain: MetastableChain) -> float:
     """Gap of the limit chain: single-stack walk gap against all sector rates."""
     return min(block.rate for block in chain.blocks.values())
@@ -292,8 +285,7 @@ def slow_fast_convergence(chain: MetastableChain, t: float,
         evolved = expm_action(gen, t, columns)
         mass = evolved[:, -1]
         deviation = float(np.abs(evolved[:, :-1] - limit_vals).max())
-        gap_eps = spectral_gap(build_sip(space.graph.scaled_alpha(eps), space.k, space))
-        ratio = gap_eps / eps
+        ratio = spectral_gap(gen)  # gen is the eps * alpha generator over eps
         rows.append(SlowFastRow(
             eps=float(eps),
             semigroup_deviation=deviation,

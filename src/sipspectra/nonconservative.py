@@ -122,10 +122,9 @@ def lift_F(g: WeightedGraph, rho: float, psi, space: ConfigSpace | int):
     return F
 
 
-def killed_eigenpairs(g: WeightedGraph, omega, k: int,
-                      space: ConfigSpace | None = None):
+def killed_eigenpairs(g: WeightedGraph, omega, k: int):
     """All eigenpairs of the negated killed generator, original coordinates."""
-    space = space or enumerate_configs(g, k)
+    space = enumerate_configs(g, k)
     L = build_killed(g, omega, k, space)
     vals, vecs = bottom_eigenpairs(L, L.size)
     return vals, vecs, space

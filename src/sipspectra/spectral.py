@@ -1,4 +1,4 @@
-"""Spectra, gaps, Rayleigh quotients and semigroup actions.
+"""Spectra, gaps and semigroup actions.
 
 Every bottom-of-spectrum request on a reversible generator takes one path:
 ``symmetrized`` forms D^(1/2) (-L) D^(-1/2) (square-root weights in log
@@ -35,7 +35,6 @@ from .generators import (
     CertificationError,
     GeneratorMatrix,
     build_sip,
-    dirichlet_form,
 )
 from .graphs import WeightedGraph
 
@@ -47,7 +46,6 @@ __all__ = [
     "spectrum",
     "spectral_gap",
     "gap_sip",
-    "rayleigh",
     "expm_action",
 ]
 
@@ -55,7 +53,6 @@ DENSE_CAP = 5000             # full spectrum: dense up to here
 BOTTOM_DENSE_CAP = 1200      # bottom few eigenvalues: dense up to here
 ITERATIVE_CAP = 300_000
 N_EXTREMAL = 8               # eigenvalues of a partial spectrum
-MULTIPLICITY_TOL = 1e-8      # relative to the top eigenvalue
 MONOTONE_TOL = 1e-10
 EXPM_TOL = 1e-10             # neglected Poisson mass of expm_action
 
@@ -78,17 +75,6 @@ class Spectrum:
         if not self.conservative:
             return bool(ev[0] > 0.0)
         return bool(abs(ev[0]) <= 1e-8 * max(abs(float(ev[-1])), 1.0))
-
-    def groups(self) -> list[tuple[float, int]]:
-        """Eigenvalues grouped into (value, multiplicity) clusters."""
-        out: list[tuple[float, int]] = []
-        scale = max(abs(self.eigenvalues[-1]), 1.0)
-        for ev in self.eigenvalues:
-            if out and abs(ev - out[-1][0]) <= MULTIPLICITY_TOL * scale:
-                out[-1] = (out[-1][0], out[-1][1] + 1)
-            else:
-                out.append((float(ev), 1))
-        return out
 
 
 @dataclass
@@ -232,23 +218,6 @@ def gap_sip(g: WeightedGraph, k_max: int, cap: int = DEFAULT_CAP) -> GapScan:
     monotone = all(gaps[i + 1] <= gaps[i] + MONOTONE_TOL for i in range(len(gaps) - 1))
     overall = min(gaps[1:]) if k_max >= 2 else math.inf
     return GapScan(gaps=gaps, gap_sip=overall, monotone=monotone)
-
-
-def rayleigh(L: GeneratorMatrix, f) -> float:
-    """Dirichlet form over variance (conservative) or squared norm (killed)."""
-    if L.reference is None:
-        raise ValueError("Rayleigh quotient needs a reference measure")
-    f = np.asarray(f, dtype=float)
-    energy = dirichlet_form(L, f)
-    if L.conservative:
-        denom = L.reference.variance(f)
-        if denom <= 0.0:
-            raise ValueError("Rayleigh quotient of a constant function")
-    else:
-        denom = L.reference.norm_sq(f)
-        if denom <= 0.0:
-            raise ValueError("Rayleigh quotient of the zero function")
-    return energy / denom
 
 
 def expm_action(L: GeneratorMatrix, t: float, f) -> np.ndarray:

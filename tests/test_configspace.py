@@ -8,8 +8,6 @@ from sipspectra.configspace import (
     ConfigSpace,
     SpaceCapExceeded,
     enumerate_configs,
-    move,
-    stack_count,
 )
 from sipspectra.graphs import complete, h_shape, path_graph, torus
 
@@ -33,17 +31,12 @@ def test_h_shape_four_particle_singleton_sector():
     assert {space.config(i) for i in four} == {(1, 0, 1, 1, 0, 1)}
 
 
-def test_move():
-    assert move((2, 0), 0, 1) == (1, 1)
-    assert move((1, 0, 1), 0, 1) == (0, 1, 1)
-    with pytest.raises(ValueError):
-        move((0, 1), 0, 1)
-
-
 def test_stack_count():
-    assert stack_count((3, 0, 0)) == 1
-    assert stack_count((1, 0, 1)) == 2
-    assert stack_count((1, 0, 2, 1, 0, 1)) == 4
+    for g, occupation, stacks in ((path_graph(3), (3, 0, 0), 1),
+                                  (path_graph(3), (1, 0, 1), 2),
+                                  (h_shape(), (1, 0, 2, 1, 0, 1), 4)):
+        space = enumerate_configs(g, sum(occupation))
+        assert space.stack_counts[space.index_of(occupation)] == stacks
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=2, max_value=5))

@@ -8,6 +8,7 @@ from sipspectra.experiments import (
     difference_walk_rate,
     kac_first_escape,
     quadratic_crossover,
+    unit_walk_gap,
 )
 from sipspectra.graphs import WeightedGraph, complete, h_shape, path_graph, torus
 
@@ -48,7 +49,7 @@ PINNED_CROSSOVER = [
 
 @pytest.mark.parametrize("g, expected", PINNED_CROSSOVER)
 def test_quadratic_crossover_pinned(g, expected):
-    assert quadratic_crossover(g) == expected
+    assert quadratic_crossover(g, unit_walk_gap(g)) == expected
 
 
 def test_quadratic_crossover_runs_one_diameter_sweep(monkeypatch):
@@ -61,5 +62,5 @@ def test_quadratic_crossover_runs_one_diameter_sweep(monkeypatch):
 
     monkeypatch.setattr(WeightedGraph, "distances_from", counting)
     g = h_shape(alpha=MIXED_PATTERN)
-    assert quadratic_crossover(g) is not None
+    assert quadratic_crossover(g, unit_walk_gap(g)) is not None
     assert 0 < len(calls) <= g.n

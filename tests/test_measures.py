@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
+from scipy.stats import nbinom
 
 from sipspectra.configspace import enumerate_configs
 from sipspectra.graphs import WeightedGraph, h_shape, path_graph
@@ -13,8 +14,7 @@ from sipspectra.measures import (
     log_partition,
     mu,
     negbin_tail_cutoff,
-    nu_log,
-    varsigma,
+    varsigma_rows,
 )
 
 
@@ -41,29 +41,16 @@ def test_normalization_small_alpha():
     assert abs(m.weights.sum() - 1.0) < 1e-12
 
 
-def test_nu_values():
-    g = path_graph(3, alpha=(0.5, 1.0, 2.0))
-    # empty configuration: log nu = -|alpha| log(1+rho)
-    assert abs(nu_log(g, 0.7, (0, 0, 0)) + 3.5 * math.log(1.7)) < 1e-14
-    s = single_site(1.0)
-    assert abs(math.exp(nu_log(s, 1.0, (1,))) - 0.25) < 1e-15
-
-
-def test_nu_single_site_sums_to_one():
-    s = single_site(1.0)
+def test_negbin_tail_cutoff_certifies_the_tail():
+    # the single-site law at density rho is negative binomial(alpha, 1/(1+rho))
     cutoff = negbin_tail_cutoff(1.0, 0.5, tol=1e-12)
-    total = sum(math.exp(nu_log(s, 0.5, (n,))) for n in range(cutoff + 1))
-    assert abs(total - 1.0) < 1e-10
+    assert nbinom.sf(cutoff, 1.0, 1 / 1.5) < 1e-12
 
 
 def test_varsigma():
-    g = path_graph(3)
-    assert varsigma(g, (3, 0, 0)) == pytest.approx(1 / 3)
-    assert varsigma(g, (1, 0, 1)) == pytest.approx(1.0)
-    h = h_shape()
-    assert varsigma(h, (2, 0, 1, 1, 0, 1)) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        varsigma(g, (1, 1, 0))
+    np.testing.assert_allclose(varsigma_rows(path_graph(3).alpha, [(3, 0, 0), (1, 0, 1)]),
+                               [1 / 3, 1.0], rtol=1e-15)
+    assert varsigma_rows(h_shape().alpha, (2, 0, 1, 1, 0, 1))[0] == pytest.approx(0.5)
 
 
 def test_inner_product_basics():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from sipspectra.metastable import (
     lambda_km,
     restricted_annihilation,
     restricted_annihilation_residual,
-    single_stack_gap,
     slow_fast_convergence,
     w_k,
 )
@@ -120,7 +120,7 @@ def test_lambda_values():
     assert lambda_km(chain, 2) == pytest.approx(2.0)
     assert w_k(chain) == pytest.approx(1.0)
     assert math.isinf(lambda_km(build_chain(complete(3), 2), 2))
-    assert single_stack_gap(chain) == pytest.approx(1.0)
+    assert chain.blocks[1].rate == pytest.approx(1.0)
 
 
 def test_single_stack_gap_ignores_a_rounding_leak():
@@ -130,7 +130,7 @@ def test_single_stack_gap_ignores_a_rounding_leak():
     chain = build_chain(WeightedGraph(("a", "b", "c"), c, np.array([0.5, 1.0, 2.0])), 2)
     assert np.any(chain.blocks[1].matrix.sum(axis=1) < 0.0)
     walk = np.sort(np.linalg.eigvals(-chain.blocks[1].matrix).real)
-    assert single_stack_gap(chain) == pytest.approx(walk[1], rel=1e-10)
+    assert chain.blocks[1].rate == pytest.approx(walk[1], rel=1e-10)
 
 
 def test_residual_checks_raise_certification_errors(monkeypatch):
@@ -259,12 +259,33 @@ def test_slow_fast_convergence_rows():
     assert all(r.gap_ratio_error < 1e-8 for r in rows)
 
 
+@pytest.mark.parametrize("g, k", [(path_graph(3, alpha=(0.5, 1.0, 2.0)), 3),
+                                  (h_shape(), 3), (torus(8, 1), 2)])
+def test_slow_fast_gap_ratio_reads_the_combined_generator(g, k, monkeypatch):
+    # A + B/eps is the eps * alpha generator over eps: no generator is rebuilt
+    chain = build_chain(g, k)
+    built = []
+
+    def counting_sip(*args, **kwargs):
+        built.append(args)
+        return build_sip(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sipspectra") and getattr(module, "build_sip", None) is build_sip:
+            monkeypatch.setattr(module, "build_sip", counting_sip)
+    rows = slow_fast_convergence(chain, t=1.0, eps_grid=(1e-1, 1e-2))
+    assert built == []
+    for row in rows:
+        rebuilt = spectral_gap(build_sip(g.scaled_alpha(row.eps), k)) / row.eps
+        assert abs(row.gap_ratio - rebuilt) <= 1e-10 * rebuilt
+
+
 def test_slow_fast_crossover_instance():
     # on the eight-cycle the two-stack rate undercuts the walk gap, so the
     # rescaled gap genuinely converges from above
     g = torus(8, 1)
     chain = build_chain(g, 2)
-    assert lambda_km(chain, 2) < single_stack_gap(chain)
+    assert lambda_km(chain, 2) < chain.blocks[1].rate
     wk = w_k(chain)
     errs = [abs(spectral_gap(build_sip(g.scaled_alpha(e), 2)) / e - wk)
             for e in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)]

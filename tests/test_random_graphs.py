@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from sipspectra import nonconservative, spectral
 from sipspectra.configspace import enumerate_configs
-from sipspectra.experiments import bounds_report_rows, explicit_lower_bound
+from sipspectra.experiments import _linear_bound, bounds_report_rows
 from sipspectra.generators import (
     CertificationError,
     build_killed,
@@ -165,7 +165,7 @@ def _inline_bounds(g, k_max, eps, tol=1e-8):
     gap_rw = spectral_gap(build_sip(ge, 1))
     gap_sip = min(spectral_gap(build_sip(ge, k)) for k in range(2, k_max + 1))
     lower = min(1.0, metrics(ge).alpha_min) * gap_rw
-    linear = explicit_lower_bound(ge)
+    linear = _linear_bound(metrics(ge), ge.n)
     return {"gap_rw": gap_rw, "gap_sip": gap_sip, "sandwich_lower": lower,
             "linear_lower": linear,
             "sandwich_ok": lower - tol <= gap_sip <= gap_rw + tol,

@@ -219,20 +219,32 @@ def test_cli_gap_bounds_table(tmp_path):
 
 
 def test_cli_gap_bounds_table_scans_each_eps_once(tmp_path, monkeypatch):
+    from sipspectra.graphs import metrics, path_graph
+
     built = []
 
     def counting_sip(g, k, space=None):
         built.append(k)
         return build_sip(g, k, space)
 
-    for module in (spectral, experiments):
+    for module in (spectral, experiments, cli):
         monkeypatch.setattr(module, "build_sip", counting_sip)
+    graph = ["--family", "path(4)", "--alpha", "0.4,1,2,0.7", "--k-max", "4"]
+    # without --eps: the scan over k = 1..4 and nothing else
+    assert main(["gap", *graph, "--out", str(tmp_path / "gap.json")]) == 0
+    assert len(built) == 4
+    built.clear()
     out = tmp_path / "bounds.json"
-    assert main(["gap", "--family", "path(4)", "--alpha", "0.4,1,2,0.7",
-                 "--k-max", "4", "--eps", "1,0.1,0.01", "--out", str(out)]) == 0
-    # one unit-scale walk gap for the quadratic bound and one for the
-    # crossover, and a scan over k = 1..4 at each of the three eps
-    assert len(built) <= 14
+    assert main(["gap", *graph, "--eps", "1,0.1,0.01", "--out", str(out)]) == 0
+    # one unit-scale walk gap for the quadratic bound and the crossover, and
+    # a scan over k = 1..4 at each of the three eps
+    assert len(built) == 13
+    # the quadratic bound as the bounds row once held it, bit for bit
+    g = path_graph(4, alpha=(0.4, 1.0, 2.0, 0.7))
+    gap_hat = spectral.spectral_gap(build_sip(g.with_alpha(g.alpha / g.alpha.min()), 1))
+    table = parse_report(out.read_text()).records[-1].computed["rows"]
+    assert [r["quadratic_lower"] for r in table] == [
+        metrics(g.scaled_alpha(eps)).alpha_min**2 * gap_hat for eps in (1.0, 0.1, 0.01)]
     records = {r.name: r for r in parse_report(out.read_text()).records}
     first = records["bounds_table"].computed["rows"][0]
     assert first["eps"] == 1
@@ -241,22 +253,21 @@ def test_cli_gap_bounds_table_scans_each_eps_once(tmp_path, monkeypatch):
 
 
 def test_quadratic_crossover_separates_bounds():
-    from sipspectra.experiments import quadratic_crossover, explicit_lower_bound
+    from sipspectra.experiments import _linear_bound, quadratic_crossover, unit_walk_gap
     from sipspectra.graphs import metrics, path_graph
+    from sipspectra.spectral import spectral_gap
 
     g = path_graph(3, alpha=(0.4, 1.0, 2.0))
-    eps0 = quadratic_crossover(g)
-    assert eps0 is not None
-    from sipspectra.generators import build_sip
-    from sipspectra.spectral import spectral_gap
+    eps0 = quadratic_crossover(g, unit_walk_gap(g))
     hat = g.with_alpha(g.alpha / g.alpha.min())
     base = spectral_gap(build_sip(hat, 1))
+    assert eps0 is not None
     for eps in (eps0 / 4, eps0 / 16):
         ge = hat.scaled_alpha(eps)
-        assert explicit_lower_bound(ge) > metrics(ge).alpha_min**2 * base
+        assert _linear_bound(metrics(ge), ge.n) > metrics(ge).alpha_min**2 * base
     for eps in (4 * eps0, 1.0):
         ge = hat.scaled_alpha(eps)
-        assert explicit_lower_bound(ge) < metrics(ge).alpha_min**2 * base
+        assert _linear_bound(metrics(ge), ge.n) < metrics(ge).alpha_min**2 * base
 
 
 def test_cli_verify_all_single_criterion(capsys):
@@ -272,3 +283,11 @@ def test_cli_verify_all_rejects_an_unknown_criterion_before_running_any(monkeypa
     assert ran == []
     err = capsys.readouterr().err
     assert "unknown criteria [99]; valid: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]" in err
+
+
+def test_cli_verify_all_takes_no_budget(capsys):
+    # the criteria run fixed instances, so a budget would be accepted and ignored
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify-all", "--only", "1", "--budget", "5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err

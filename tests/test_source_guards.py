@@ -4,7 +4,8 @@ The package source is parsed with ``ast``, never imported.  No module may
 import another module's private (underscore) name, and only ``spectral`` may
 call an eigensolver, so every eigenvalue the library reports has passed its
 asymmetry certificate.  Only ``metastable.build_chain`` splits a generator
-into its slow-fast pair; every other reader takes the built chain.
+into its slow-fast pair; every other reader takes the built chain.  Every
+exported name has a reader outside the tests, or a reason to stay public.
 """
 
 import ast
@@ -13,7 +14,18 @@ from pathlib import Path
 import sipspectra
 
 PACKAGE = Path(sipspectra.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 EIGENSOLVERS = {"eigvalsh", "eigh", "eigsh", "eig"}
+
+# exported names that no criterion, CLI path or perfbench workload reads
+PUBLIC_API = {
+    "open_generator_apply": "pointwise oracle of the open generator in eigen_lift_residual",
+    "lift_F": "pointwise oracle of the duality lift in eigen_lift_residual",
+    "decompose_dirichlet": "candidate oracle of a per-class comparison sweep",
+    "reassemble_energy": "candidate oracle of a per-class comparison sweep",
+    "gap_induction_check": "the rigid-eigenstructure induction step, kept until a criterion reads it",
+    "contraction_map": "the log-concave level-lowering step, kept until a criterion reads it",
+}
 
 
 def _modules():
@@ -42,6 +54,67 @@ def _call_sites(name: str) -> list[tuple[str, str | None]]:
     for module, tree in _modules():
         visit(tree, module, None)
     return sites
+
+
+def _reads(tree) -> set[str]:
+    """Identifiers and attribute names that a tree reads."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def _is_all(stmt) -> bool:
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+
+
+def _exported() -> set[str]:
+    """Every name in a module's ``__all__`` or imported by ``__init__``."""
+    names = set()
+    for module, tree in _modules():
+        for stmt in tree.body:
+            if _is_all(stmt):
+                names |= {elt.value for elt in stmt.value.elts}
+            elif module == "__init__" and isinstance(stmt, ast.ImportFrom):
+                names |= {alias.name for alias in stmt.names}
+    return names
+
+
+def _package_readers() -> set[str]:
+    """Names read by a package statement other than ``__init__``, an
+    ``__all__`` list or the name's own definition."""
+    read = set()
+    for module, tree in _modules():
+        if module == "__init__":
+            continue
+        for stmt in tree.body:
+            if not _is_all(stmt):
+                read |= _reads(stmt) - {getattr(stmt, "name", None)}
+    return read
+
+
+def _perfbench_readers() -> set[str]:
+    """Names the benchmark imports from the package, reads as attributes of
+    a package module, or traces by a ``layers.py`` target string."""
+    read = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = {"sipspectra"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sipspectra"):
+                names = {alias.asname or alias.name for alias in node.names}
+                read |= names
+                if node.module == "sipspectra":
+                    modules |= names
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id in modules}
+        if path.name == "layers.py":
+            for stmt in tree.body:
+                target = stmt.targets[0] if isinstance(stmt, ast.Assign) else getattr(stmt, "target", None)
+                if isinstance(target, ast.Name) and target.id in ("SPANNED", "COUNTED"):
+                    read |= {part for value in stmt.value.values for node in ast.walk(value)
+                             if isinstance(node, ast.Constant)
+                             for part in node.value.split(".")[1:]}
+    return read
 
 
 def test_the_package_has_modules_to_scan():
@@ -74,3 +147,11 @@ def test_only_spectral_calls_an_eigensolver():
 
 def test_only_build_chain_splits_into_the_slow_fast_pair():
     assert _call_sites("build_slow_fast") == [("metastable", "build_chain")]
+
+
+def test_every_exported_name_has_a_reader_outside_the_tests():
+    unread = _exported() - _package_readers() - _perfbench_readers()
+    only_tests = sorted(unread - set(PUBLIC_API))
+    assert only_tests == [], f"exported names that only tests read: {only_tests}"
+    stale = sorted(set(PUBLIC_API) - unread)
+    assert stale == [], f"allow-listed names that are read or gone: {stale}"

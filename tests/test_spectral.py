@@ -6,7 +6,8 @@ import pytest
 
 from sipspectra import spectral
 from sipspectra.configspace import SpaceCapExceeded
-from sipspectra.generators import CertificationError, build_killed, build_sip
+from sipspectra.experiments import bounds_report_rows
+from sipspectra.generators import CertificationError, build_killed, build_sip, dirichlet_form
 from sipspectra.graphs import complete, h_shape, path_graph, torus
 from sipspectra.metastable import build_chain, lambda_km
 from sipspectra.nonconservative import killed_eigenpairs
@@ -14,7 +15,6 @@ from sipspectra.spectral import (
     bottom_eigenpairs,
     expm_action,
     gap_sip,
-    rayleigh,
     spectral_gap,
     spectrum,
     symmetrized,
@@ -25,9 +25,6 @@ def test_two_site_spectrum():
     s = spectrum(build_sip(path_graph(2), 2))
     np.testing.assert_allclose(s.eigenvalues, [0.0, 2.0, 6.0], atol=1e-12)
     assert s.gap == pytest.approx(2.0)
-    groups = s.groups()
-    assert [mult for _, mult in groups] == [1, 1, 1]
-    np.testing.assert_allclose([v for v, _ in groups], [0.0, 2.0, 6.0], atol=1e-12)
 
 
 def test_killed_two_state_spectrum():
@@ -176,17 +173,21 @@ def test_gap_scaling_in_alpha():
         assert abs(scaled - eps * base) < 1e-10 * max(base, 1.0)
 
 
+def _rayleigh(L, f):
+    return dirichlet_form(L, f) / L.reference.variance(f)
+
+
 def test_rayleigh_quotient():
     g = path_graph(3, alpha=(0.5, 1.0, 2.0))
     L = build_sip(g, 2)
     vals, vecs = bottom_eigenpairs(L, 2)
     gap = spectrum(L).gap
-    assert rayleigh(L, vecs[:, 1]) == pytest.approx(gap, abs=1e-9)
-    with pytest.raises(ValueError):
-        rayleigh(L, np.ones(L.size))
+    assert _rayleigh(L, vecs[:, 1]) == pytest.approx(gap, abs=1e-9)
     # indicator on the two-state symmetric chain: E = 1/2, Var = 1/4
     L2 = build_sip(path_graph(2), 1)
-    assert rayleigh(L2, np.array([1.0, 0.0])) == pytest.approx(2.0)
+    f = np.array([1.0, 0.0])
+    assert dirichlet_form(L2, f) == pytest.approx(0.5)
+    assert L2.reference.variance(f) == pytest.approx(0.25)
 
 
 def test_rayleigh_dominates_gap_and_descent_approaches_it():
@@ -197,7 +198,7 @@ def test_rayleigh_dominates_gap_and_descent_approaches_it():
     best = math.inf
     f = rng.standard_normal(L.size)
     for _ in range(100):
-        quotient = rayleigh(L, f)
+        quotient = _rayleigh(L, f)
         assert quotient >= gap - 1e-9
         best = min(best, quotient)
         # coordinate-descent refinement toward the minimizer
@@ -206,7 +207,7 @@ def test_rayleigh_dominates_gap_and_descent_approaches_it():
             for step in (-0.1, 0.1):
                 trial = f.copy()
                 trial[i] += step
-                if trial.std() > 0 and rayleigh(L, trial) < rayleigh(L, f):
+                if trial.std() > 0 and _rayleigh(L, trial) < _rayleigh(L, f):
                     f = trial
         f = rng.standard_normal(L.size) if rng.uniform() < 0.3 else f
     assert best < gap * 1.05
@@ -245,11 +246,10 @@ def test_expm_action_batch_matches_columns():
 
 def test_lower_bound_certificate_on_suite():
     # explicit graph-feature lower bound holds on every instance
-    from sipspectra.experiments import explicit_lower_bound
     for g in (path_graph(3, alpha=0.2), torus(4, 1, alpha=0.05),
               h_shape(alpha=0.5), complete(3, alpha=(0.3, 1.0, 2.0))):
-        scan = gap_sip(g, 4)
-        assert scan.gap_sip >= explicit_lower_bound(g) - 1e-8
+        row, = bounds_report_rows(g, 4, (1.0,))
+        assert row.scan.gap_sip >= row.linear_lower - 1e-8
 
 
 def test_gap_monotone_in_particle_number_across_suite():

@@ -156,7 +156,7 @@ def build_slow_fast(g: WeightedGraph, k: int, space: ConfigSpace | None = None):
     # A is reversible for k independent walkers: prod alpha_x^eta_x / eta_x!
     log_w = (space.occupations * np.log(alpha)).sum(axis=1) - gammaln(
         space.occupations + 1.0).sum(axis=1)
-    a_ref = WeightedMeasure(log_weights=log_w, normalized=False)
+    a_ref = WeightedMeasure(log_weights=log_w)
     A = _finish(space, a_rates, reference=a_ref)
     B = _finish(space, b_rates)
     return A, B

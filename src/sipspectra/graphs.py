@@ -138,6 +138,13 @@ class WeightedGraph:
                     queue.append(int(v))
         return dist
 
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """All-pairs hop distances, one breadth-first search per source, read-only."""
+        table = np.array([self.distances_from(s) for s in range(self.n)])
+        table.setflags(write=False)
+        return table
+
 
 @dataclass(frozen=True)
 class GraphMetrics:
@@ -213,7 +220,7 @@ def graph_to_document(g: WeightedGraph) -> dict:
 def metrics(g: WeightedGraph) -> GraphMetrics:
     c = g.conductances
     positive = c[c > 0]
-    diam = max(int(g.distances_from(s).max()) for s in range(g.n)) if g.n > 1 else 1
+    diam = int(g.distances.max()) if g.n > 1 else 1
     amin = float(g.alpha.min())
     amax = float(g.alpha.max())
     return GraphMetrics(
@@ -235,7 +242,7 @@ def shortest_path(g: WeightedGraph, x: str, y: str) -> list[str]:
     xi, yi = g.vertex_index[x], g.vertex_index[y]
     if xi == yi:
         raise ValueError("shortest_path requires distinct endpoints")
-    dist = g.distances_from(yi)
+    dist = g.distances[yi]
     path = [xi]
     cur = xi
     while cur != yi:

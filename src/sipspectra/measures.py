@@ -30,7 +30,6 @@ class WeightedMeasure:
     """Positive weights on an indexed state set, stored as logs."""
 
     log_weights: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         lw = np.asarray(self.log_weights, dtype=float)
@@ -59,15 +58,6 @@ class WeightedMeasure:
 
     def norm_sq(self, f) -> float:
         return self.inner(f, f)
-
-    def mean(self, f) -> float:
-        if not self.normalized:
-            raise ValueError("mean requires a normalized measure")
-        return float(np.dot(self.weights, self._check(f)))
-
-    def variance(self, f) -> float:
-        m = self.mean(f)
-        return self.norm_sq(self._check(f) - m)
 
 
 def _log_pi_rows(alpha: np.ndarray, occ: np.ndarray) -> np.ndarray:
@@ -99,7 +89,7 @@ def log_mu_rows(alpha, occ, k: int | None = None) -> np.ndarray:
 def mu(g: WeightedGraph, space: ConfigSpace) -> WeightedMeasure:
     """Reversible measure of the conservative k-particle dynamics on g."""
     lw = log_mu_rows(g.alpha, space.occupations, space.k)
-    return WeightedMeasure(log_weights=lw, normalized=True)
+    return WeightedMeasure(log_weights=lw)
 
 
 def varsigma_rows(alpha, occ) -> np.ndarray:

@@ -127,7 +127,7 @@ class StackBlock:
         return GeneratorMatrix(
             space=None, rates=sp.csr_matrix(off), diagonal=np.diag(self.matrix).copy(),
             kill=None if self.m == 1 else -self.matrix.sum(axis=1),
-            reference=WeightedMeasure(log_weights=np.log(self.weights), normalized=False))
+            reference=WeightedMeasure(log_weights=np.log(self.weights)))
 
     @cached_property
     def rate(self) -> float:

@@ -1,28 +1,146 @@
 import math
+from collections import Counter
+from dataclasses import dataclass
+from itertools import combinations, groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sipspectra import comparison
+from sipspectra.acceptance import _COMPARISON_CASES, _mixed
 from sipspectra.cli import main
 from sipspectra.comparison import (
-    _triples,
+    CaseBoundReport,
     alt_bounds_report,
     build_plan,
     case_bound,
     case_bound_report,
     complete_reference,
-    decompose_dirichlet,
     overlap_histogram,
     plan_cost,
-    reassemble_energy,
     comparison_constant,
     verify_key_ing,
 )
-from sipspectra.configspace import enumerate_configs
+from sipspectra.configspace import ConfigSpace, enumerate_configs
 from sipspectra.generators import build_sip, dirichlet_form
-from sipspectra.graphs import complete, h_shape, path_graph, torus
+from sipspectra.graphs import WeightedGraph, complete, h_shape, path_graph, shortest_path, torus
+from sipspectra.measures import log_mu_rows
 from sipspectra.reports import parse_report
+
+
+# -- the per-term oracle: every complete-graph gradient term on its own -----
+
+
+def _spreads(sites: int, j: int):
+    """Every way to put j particles on that many sites, lexicographic."""
+    if sites == 0:
+        if j == 0:
+            yield ()
+        return
+    for v in (range(j + 1) if sites > 1 else (j,)):
+        for rest in _spreads(sites - 1, j - v):
+            yield (v,) + rest
+
+
+def _triples(g: WeightedGraph, k: int):
+    """Every complete-graph gradient term (x, y, l, m, sigma), pairs x < y outermost."""
+    for x, y in combinations(range(g.n), 2):
+        free = [v for v in range(g.n) if v not in (x, y)]
+        for l in range(1, k + 1):
+            for values in _spreads(len(free), k - l):
+                sigma = [0] * g.n
+                for v, c in zip(free, values):
+                    sigma[v] = c
+                for m in range(1, l + 1):
+                    yield x, y, l, m, tuple(sigma)
+
+
+@dataclass(frozen=True)
+class DirichletTerm:
+    x: int
+    y: int
+    l: int
+    m: int
+    sigma: tuple[int, ...]   # full occupation tuple, zero at x and y
+    log_weight: float
+    src: int                 # index of sigma + m delta_x + (l-m) delta_y
+    dst: int                 # index of sigma + (m-1) delta_x + (l-m+1) delta_y
+
+
+def decompose_dirichlet(g: WeightedGraph, k: int,
+                        space: ConfigSpace | None = None) -> list[DirichletTerm]:
+    """All complete-graph gradient terms with weights, for pairs x < y."""
+    space = space or enumerate_configs(g, k)
+    alpha = g.alpha
+    triples = list(_triples(g, k))
+    src_rows = np.array([t[4] for t in triples], dtype=np.int64).reshape(-1, g.n)
+    dst_rows = src_rows.copy()
+    for i, (x, y, l, m, _) in enumerate(triples):
+        src_rows[i, x] += m
+        src_rows[i, y] += l - m
+        dst_rows[i, x] += m - 1
+        dst_rows[i, y] += l - m + 1
+    src_idx = space.rank_rows(src_rows)
+    dst_idx = space.rank_rows(dst_rows)
+    log_mu = log_mu_rows(alpha, src_rows, k)
+    return [DirichletTerm(x=x, y=y, l=l, m=m, sigma=sigma,
+                          log_weight=float(lm + math.log(m) + math.log(alpha[y] + l - m)),
+                          src=int(s), dst=int(d))
+            for (x, y, l, m, sigma), s, d, lm in zip(triples, src_idx, dst_idx, log_mu)]
+
+
+def reassemble_energy(terms: list[DirichletTerm], f) -> float:
+    """Sum of the evaluated terms; equals the complete-graph Dirichlet form."""
+    f = np.asarray(f, dtype=float)
+    w = np.exp(np.array([t.log_weight for t in terms]))
+    src = np.array([t.src for t in terms])
+    dst = np.array([t.dst for t in terms])
+    return float(np.dot(w, (f[dst] - f[src]) ** 2))
+
+
+def per_term_report(g: WeightedGraph, k: int) -> CaseBoundReport:
+    """The sweep with one transfer plan per term, the class sweep's oracle."""
+    bounds = {tag: case_bound(g, k, tag)
+              for tag in ("connected", "occupied", "empty_few", "empty_many", "general")}
+    cxy = g.conductances
+    by_case: Counter = Counter()
+    violations = 0
+    worst = 0.0
+    max_div = 0.0
+    overlaps: dict[tuple[int, int], int] = {}
+    for pair, terms in groupby(_triples(g, k), key=itemgetter(0, 1)):
+        charged: Counter = Counter()
+        for x, y, l, m, sigma in terms:
+            plan = build_plan(g, x, y, l, m, sigma)
+            by_case[plan.case_tag] += 1
+            cost = plan_cost(plan, g)
+            if plan.case_tag == "connected":
+                ok = abs(cost * cxy[x, y] - 1.0) < 1e-9
+                margin = cost * cxy[x, y]
+            else:
+                bound = bounds[plan.case_tag]
+                ok = cost <= bound * (1 + 1e-12)
+                margin = cost / bound
+            if not ok:
+                violations += 1
+            worst = max(worst, margin)
+            max_div = max(max_div, plan.divergence_residual())
+            charged.update({e.key() for e in plan.edges})
+        overlaps[pair] = max(charged.values(), default=0)
+    return CaseBoundReport(triples=sum(by_case.values()), by_case=dict(by_case),
+                           violations=violations, worst_margin=worst,
+                           max_divergence=max_div, overlaps=overlaps)
+
+
+def _assert_same_report(g: WeightedGraph, k: int) -> CaseBoundReport:
+    got, want = case_bound_report(g, k), per_term_report(g, k)
+    assert got == want
+    assert list(got.by_case) == list(want.by_case)
+    assert list(got.overlaps) == list(want.overlaps)
+    return got
 
 
 def test_reassembly_matches_complete_energy():
@@ -189,7 +307,17 @@ def test_h_shape_sweep_values():
     assert max(hist, key=hist.get) == (0, 3)
 
 
-def test_compare_request_builds_each_plan_once(monkeypatch, capsys):
+def _class_count(g: WeightedGraph, k: int) -> int:
+    """Distinct (x, y, l, m, sigma on the geodesic interior, particles off it)."""
+    classes = set()
+    for x, y, l, m, sigma in _triples(g, k):
+        geo = [g.vertex_index[v] for v in shortest_path(g, g.vertices[x], g.vertices[y])]
+        interior = tuple(sigma[v] for v in geo[1:-1])
+        classes.add((x, y, l, m, interior, sum(sigma) - sum(interior)))
+    return len(classes)
+
+
+def test_compare_request_builds_one_plan_per_geodesic_class(monkeypatch, capsys):
     calls = 0
 
     def counting_build_plan(*args):
@@ -201,7 +329,57 @@ def test_compare_request_builds_each_plan_once(monkeypatch, capsys):
     assert main(["compare-dirichlet", "--family", "path(4)", "--k", "3"]) == 0
     report = parse_report(capsys.readouterr().out)
     bounds = next(r for r in report.records if r.name == "per_case_cost_bounds")
-    assert calls == bounds.computed["triples"] > 0
+    assert calls == _class_count(path_graph(4), 3) == 48
+    assert bounds.computed["triples"] == 60 > calls
+
+
+_ORACLE_CASES = [
+    pytest.param(name, aname, k, id=f"{name}-{aname}-k{k}")
+    for name, _ in _COMPARISON_CASES
+    for aname in ("const_1", "const_0.3", "mixed")
+    for k in (2, 3)
+    if not (name == "torus_4x4" and k == 3 and aname != "mixed")
+] + [
+    pytest.param(name, aname, 4, id=f"{name}-{aname}-k4")
+    for name in ("h_shape", "torus_6")
+    for aname in ("const_1", "const_0.3", "mixed")
+]
+
+
+@pytest.mark.parametrize("name,aname,k", _ORACLE_CASES)
+def test_class_sweep_matches_per_term_oracle(name, aname, k):
+    make = dict(_COMPARISON_CASES)[name]
+    n = make(1.0).n
+    alpha = {"const_1": 1.0, "const_0.3": 0.3, "mixed": _mixed(n)}[aname]
+    _assert_same_report(make(alpha), k)
+
+
+@st.composite
+def _connected_graphs(draw):
+    n = draw(st.integers(3, 6))
+    c = np.zeros((n, n))
+    for v in range(1, n):  # a random spanning tree, then extra edges
+        u = draw(st.integers(0, v - 1))
+        c[u, v] = c[v, u] = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    for u, v in combinations(range(n), 2):
+        if c[u, v] == 0 and draw(st.booleans()):
+            c[u, v] = c[v, u] = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    labels = draw(st.permutations([chr(ord("a") + i) for i in range(n)]))
+    alpha = draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))
+    return WeightedGraph(tuple(labels), c, np.array(alpha)), draw(st.integers(1, 3))
+
+
+def test_class_sweep_matches_per_term_oracle_on_random_graphs():
+    seen: set[str] = set()
+
+    @given(_connected_graphs())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def check(case):
+        seen.update(_assert_same_report(*case).by_case)
+
+    check()
+    # stack moves (empty_few) and two-dimensional flows (empty_many) both occur
+    assert {"empty_few", "empty_many"} <= seen
 
 
 def test_verify_key_ing():
@@ -235,10 +413,6 @@ def test_alt_bounds_with_more_particles():
     g = torus(4, 1, alpha=0.1)
     rep = alt_bounds_report(g, 8)
     assert rep.all_dominate
-
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 
 @st.composite

@@ -167,7 +167,7 @@ def test_dirichlet_form_killed_and_nonreversible_error():
         direct = float(np.dot(w * f, -Lk.matvec(f)))
         assert abs(dirichlet_form(Lk, f) - direct) < 1e-12
     bad = build_sip(g, 2)
-    bad.reference = WeightedMeasure(np.array([0.0, -1.0, -2.0]), normalized=False)
+    bad.reference = WeightedMeasure(np.array([0.0, -1.0, -2.0]))
     with pytest.raises(CertificationError, match="not reversible"):
         dirichlet_form(bad, np.arange(3.0))
 

@@ -5,6 +5,7 @@ import pytest
 
 from sipspectra.graphs import (
     GraphError,
+    WeightedGraph,
     build_family,
     complete,
     h_shape,
@@ -100,6 +101,27 @@ def test_shortest_path_deterministic_and_geodesic():
         idx = [g.vertex_index[v] for v in p1]
         assert all(g.conductances[a, b] > 0 for a, b in zip(idx, idx[1:]))
         checked += 1
+
+
+def test_geodesics_and_metrics_read_one_distance_table(monkeypatch):
+    g = torus(4, 2)
+    sources = []
+    bfs = WeightedGraph.distances_from
+
+    def counting(self, source):
+        sources.append(source)
+        return bfs(self, source)
+
+    monkeypatch.setattr(WeightedGraph, "distances_from", counting)
+    for x in g.vertices:
+        for y in g.vertices:
+            if x != y:
+                shortest_path(g, x, y)
+    assert metrics(g).diameter == 4
+    assert sources == list(range(g.n))
+    assert np.array_equal(g.distances, np.array([bfs(g, s) for s in range(g.n)]))
+    with pytest.raises(ValueError):
+        g.distances[0, 1] = 0
 
 
 def test_torus_structure():

@@ -21,8 +21,6 @@ EIGENSOLVERS = {"eigvalsh", "eigh", "eigsh", "eig"}
 PUBLIC_API = {
     "open_generator_apply": "pointwise oracle of the open generator in eigen_lift_residual",
     "lift_F": "pointwise oracle of the duality lift in eigen_lift_residual",
-    "decompose_dirichlet": "candidate oracle of a per-class comparison sweep",
-    "reassemble_energy": "candidate oracle of a per-class comparison sweep",
     "gap_induction_check": "the rigid-eigenstructure induction step, kept until a criterion reads it",
     "contraction_map": "the log-concave level-lowering step, kept until a criterion reads it",
 }

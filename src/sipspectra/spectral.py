@@ -7,9 +7,12 @@ diagonalizes the result: LAPACK on an ndarray, shift-inverted Lanczos on a
 sparse matrix.  Two cut-offs pick the route because they serve different
 requests.  A full spectrum is dense up to DENSE_CAP; above it only the bottom
 N_EXTREMAL are computed and it is marked partial.  A bottom-few request is
-dense up to BOTTOM_DENSE_CAP; above it one factorization and a few dozen
-solves beat a dense solve (8 s at 3,876 states).  Asking for size - 1 or more
-pairs is dense at any size, since Lanczos cannot return that many.  The
+dense up to BOTTOM_DENSE_CAP; above it Lanczos runs on (S - sigma I)^(-1),
+applied through one band Cholesky factor of the shifted form in reverse
+Cuthill-McKee order (0.1 s at 3,876 states, against 8 s for a dense solve).
+The factor exists only if S is positive semidefinite, so it also certifies
+that the eigenvalues nearest sigma are the bottom.  Asking for size - 1 or
+more pairs is dense at any size, since Lanczos cannot return that many.  The
 relative asymmetry residual must stay below ASYMMETRY_TOL = 1e-10; correctly
 wired generators measure at most 2.6e-15 (2,880 seeded alpha-scan
 generators), 1.2e-15 (torus(4,2) at k = 4, mixed alpha), 5.7e-16 (killed
@@ -27,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse import csgraph
 from scipy.stats import poisson
 
 from .configspace import DEFAULT_CAP, SpaceCapExceeded, enumerate_configs
@@ -138,11 +143,9 @@ def _bottom(S: np.ndarray | sp.csr_matrix, count: int, vectors: bool = False):
         return np.linalg.eigvalsh(S)[:count]
     n = S.shape[0]
     sigma = -1e-6 * float(np.abs(S.data).max(initial=1.0))
-    # symmetric-structure ordering cuts the factor fill substantially
-    lu = spla.splu((S - sigma * sp.eye(n)).tocsc(), permc_spec="MMD_AT_PLUS_A")
     # a fixed start vector keeps the iteration deterministic run to run
     found = spla.eigsh(S, k=min(count, n - 1), sigma=sigma, which="LM",
-                       OPinv=spla.LinearOperator(S.shape, matvec=lu.solve),
+                       OPinv=_shifted_inverse(S, sigma),
                        v0=np.random.default_rng(1729).standard_normal(n),
                        return_eigenvectors=vectors)
     if not vectors:
@@ -150,6 +153,41 @@ def _bottom(S: np.ndarray | sp.csr_matrix, count: int, vectors: bool = False):
     vals, vecs = found
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
+
+
+def _shifted_inverse(S: sp.csr_matrix, sigma: float) -> spla.LinearOperator:
+    """(S - sigma I)^(-1) from one band Cholesky factor.
+
+    Reverse Cuthill-McKee narrows the band of the shifted form (781 on the
+    3,876 states of torus(4,2) at k = 4).  The upper band is stored in
+    Fortran order, so LAPACK factors it in place and solves against it
+    without a copy.  A sigma below the bottom of S makes the form positive
+    definite; a failed factor means S is not positive semidefinite and
+    raises CertificationError, since the eigenvalues nearest sigma would
+    not be the bottom of S.
+    """
+    n = S.shape[0]
+    A = (S - sigma * sp.eye(n)).tocsr()
+    perm = csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)
+    A = A[perm][:, perm].tocoo()
+    upper = A.row <= A.col
+    rows, cols = A.row[upper], A.col[upper]
+    b = int((cols - rows).max(initial=0))
+    band = np.zeros((b + 1, n), order="F")
+    band[b + rows - cols, cols] = A.data[upper]
+    try:
+        factor = cholesky_banded(band, overwrite_ab=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise CertificationError(f"shifted form not positive definite: {exc}") from exc
+
+    def solve(rhs):
+        x = cho_solve_banded((factor, False), rhs[perm], overwrite_b=True,
+                             check_finite=False)
+        out = np.empty_like(x)
+        out[perm] = x
+        return out
+
+    return spla.LinearOperator(S.shape, matvec=solve, dtype=float)
 
 
 def _bottom_few_dense(size: int, count: int) -> bool:

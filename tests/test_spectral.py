@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from sipspectra import spectral
 from sipspectra.configspace import SpaceCapExceeded
@@ -147,12 +148,42 @@ def test_conservative_spectrum_without_zero_fails_its_certificate():
 
 
 def test_iterative_matches_dense(monkeypatch):
-    g = torus(5, 1, alpha=0.4)
-    L = build_sip(g, 3)
-    dense_gap = spectrum(L).gap
-    monkeypatch.setattr(spectral, "BOTTOM_DENSE_CAP", 3)
-    iter_gap = spectral_gap(L)
-    assert abs(dense_gap - iter_gap) < 1e-10 * max(dense_gap, 1.0)
+    mixed = (0.3, 1.0, 0.05, 2.0, 0.7, 0.2, 1.5, 0.4, 0.9)
+    omega = (0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.2)
+    generators = [build_sip(torus(5, 1, alpha=0.4), 3),
+                  build_sip(path_graph(12), 3),              # narrow band
+                  build_sip(complete(8), 4),                 # wide band
+                  build_sip(torus(3, 2, alpha=mixed), 4),    # mesh-like band
+                  build_killed(torus(3, 2, alpha=mixed), omega, 4)]
+    monkeypatch.setattr(spectral, "BOTTOM_DENSE_CAP", 0)
+    for L in generators:
+        S, _ = symmetrized(L, True)
+        reference = np.linalg.eigvalsh(S)
+        vals, vecs = bottom_eigenpairs(L, 2)
+        # a conservative zero mode can only be compared absolutely
+        nonzero = 1 if L.conservative else 0
+        np.testing.assert_allclose(vals[nonzero:], reference[nonzero:2], rtol=1e-12, atol=0)
+        if L.conservative:
+            assert abs(vals[0]) < 1e-12
+        assert abs(spectral_gap(L) - reference[nonzero]) <= 1e-12 * reference[nonzero]
+        # eigen-residual in the symmetric coordinates, unit vectors
+        unit = vecs * np.exp(0.5 * L.reference.log_weights)[:, None]
+        unit /= np.linalg.norm(unit, axis=0)
+        assert np.abs(S @ unit - unit * vals).max() <= 1e-10
+
+
+def test_indefinite_form_fails_its_certificate_on_the_iterative_route():
+    # shift-invert Lanczos would return the eigenvalues nearest the shift,
+    # 0.986 and 0.990, and miss the bottom at -1.00005
+    n = 1500
+    diagonal = np.linspace(1.0, 3.0, n)
+    diagonal[0] = -1.0
+    off = np.full(n - 1, 0.01)
+    S = scipy.sparse.diags([off, diagonal, off], [-1, 0, 1]).tocsr()
+    assert n > spectral.BOTTOM_DENSE_CAP
+    with pytest.raises(CertificationError, match="not positive definite"):
+        spectral.symmetric_bottom(S, 2)
+    assert np.linalg.eigvalsh(S.toarray())[0] == pytest.approx(-1.00005, abs=1e-5)
 
 
 def test_gap_sip_scan():

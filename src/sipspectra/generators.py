@@ -96,8 +96,12 @@ class GeneratorMatrix:
                              shape=coo.shape).tocsr()
 
     def detailed_balance_residual(self) -> float:
-        c = self.carrier()
-        return float(np.abs((c - c.T).data).max(initial=0.0))
+        return _asymmetry(self.carrier())
+
+
+def _asymmetry(carrier: sp.csr_matrix) -> float:
+    """Largest |c(eta, xi) - c(xi, eta)| of a carrier."""
+    return float(np.abs((carrier - carrier.T).data).max(initial=0.0))
 
 
 def _assemble(g: WeightedGraph, space: ConfigSpace, edge_rate) -> sp.csr_matrix:
@@ -217,26 +221,35 @@ def open_generator_apply(g: WeightedGraph, omega, theta, f, occupation) -> float
     return float(total)
 
 
-def dirichlet_form(L: GeneratorMatrix, f) -> float:
+def dirichlet_form(L: GeneratorMatrix, f) -> float | np.ndarray:
     """Quadratic form <f, -L f> under the reference measure.
 
+    A 1-D ``f`` gives a float, an (N, m) block the m values of its columns.
     Evaluated as the sum over transitions of mu(eta) r(eta, xi) (grad f)^2 / 2,
-    plus the killing contribution when present; raises CertificationError when
-    the carrier's relative asymmetry exceeds ASYMMETRY_TOL (not reversible).
+    plus the killing contribution when present.  The carrier is built and
+    certified once per call, for every function evaluated: a relative
+    asymmetry above ASYMMETRY_TOL (not reversible) raises CertificationError.
+    Each column's gradient is its own contiguous vector, so a block's values
+    equal one-column calls bit for bit and no transitions x m array is formed.
     """
     if L.reference is None:
         raise ValueError("Dirichlet form needs a reference measure")
     f = np.asarray(f, dtype=float)
-    carrier = L.carrier().tocoo()
+    carrier = L.carrier()
     scale = float(carrier.data.max(initial=0.0))
-    asym = float(np.abs((carrier - carrier.T).data).max(initial=0.0))
+    asym = _asymmetry(carrier)
     if scale > 0 and asym > ASYMMETRY_TOL * scale:
         raise CertificationError(f"generator is not reversible (residual {asym:.3e})")
-    grads = f[carrier.col] - f[carrier.row]
-    value = 0.5 * float(np.dot(carrier.data, grads**2))
-    if L.kill is not None:
-        value += float(np.dot(L.reference.weights * L.kill, f**2))
-    return value
+    carrier = carrier.tocoo()
+    killing = None if L.kill is None else L.reference.weights * L.kill
+    values = []
+    for column in (f[:, None] if f.ndim == 1 else f).T:
+        grads = column[carrier.col] - column[carrier.row]
+        value = 0.5 * float(np.dot(carrier.data, grads**2))
+        if killing is not None:
+            value += float(np.dot(killing, column**2))
+        values.append(value)
+    return values[0] if f.ndim == 1 else np.array(values)
 
 
 # -- labeled (lookdown) dynamics -------------------------------------------
@@ -262,14 +275,14 @@ class LabeledSpace:
         return self.graph.n ** self.k
 
 
-def build_lookdown(g: WeightedGraph, omega, k: int, cap: int = DEFAULT_CAP) -> GeneratorMatrix:
+def build_lookdown(g: WeightedGraph, omega, k: int) -> GeneratorMatrix:
     """Label-ordered particle dynamics whose symmetrization is the killed chain.
 
     Particle i at site x jumps to a neighbor y at rate
     c_xy (alpha_y + 2 * #{j < i : x_j = y}); killing adds sum_i omega_{x_i}.
     """
-    if g.n**k > cap:
-        raise SpaceCapExceeded(f"labeled space has {g.n**k} states, above the cap {cap}")
+    if g.n**k > DEFAULT_CAP:
+        raise SpaceCapExceeded(f"labeled space has {g.n**k} states, above the cap {DEFAULT_CAP}")
     omega = np.broadcast_to(np.asarray(omega, dtype=float), (g.n,))
     if np.any(omega < 0):
         raise ValueError("negative killing rate")

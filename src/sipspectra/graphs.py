@@ -34,11 +34,11 @@ class GraphError(ValueError):
     """Malformed or inconsistent graph description."""
 
 
-def _labels(n: int, prefix: str = "v") -> list[str]:
+def _labels(n: int) -> list[str]:
     # single letters for small graphs, so examples read like a-b-c
     if n <= 26:
         return [chr(ord("a") + i) for i in range(n)]
-    return [f"{prefix}{i}" for i in range(n)]
+    return [f"v{i}" for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -307,7 +307,7 @@ def _family_alpha(n: int, alpha) -> np.ndarray:
     return np.broadcast_to(np.asarray(alpha, dtype=float), (n,)).copy()
 
 
-def build_family(spec: str, alpha=None) -> WeightedGraph:
+def build_family(spec: str) -> WeightedGraph:
     """Build a named graph family from a spec like ``torus(4,2)`` or ``h_shape``."""
     spec = spec.strip()
     name, args = spec, []
@@ -324,14 +324,14 @@ def build_family(spec: str, alpha=None) -> WeightedGraph:
     name = name.strip().lower()
     if name == "torus":
         if len(args) == 1:
-            return torus(args[0], 1, alpha)
+            return torus(args[0], 1)
         if len(args) == 2:
-            return torus(args[0], args[1], alpha)
+            return torus(args[0], args[1])
         raise GraphError("torus takes (n) or (n, d)")
     if name == "complete" and len(args) == 1:
-        return complete(args[0], alpha)
+        return complete(args[0])
     if name == "path" and len(args) == 1:
-        return path_graph(args[0], alpha)
+        return path_graph(args[0])
     if name in ("h_shape", "hshape") and not args:
-        return h_shape(alpha)
+        return h_shape()
     raise GraphError(f"unknown family spec {spec!r}")

@@ -187,11 +187,9 @@ def complete_graph_check(g: WeightedGraph, k: int) -> CompleteGraphReport:
     L = build_sip(g, k, space_k)
     basis = kernel_basis(g, k, space_k)
     target = k * (total + k - 1)
-    worst = 0.0
-    for j in range(basis.shape[1]):
-        f = basis[:, j]
-        quotient = dirichlet_form(L, f) / L.reference.norm_sq(f)
-        worst = max(worst, abs(quotient - target))
+    energies = dirichlet_form(L, basis)
+    worst = max((abs(energy / L.reference.norm_sq(f) - target)
+                 for energy, f in zip(energies.tolist(), basis.T)), default=0.0)
     sizes = [enumerate_configs(g, j).size for j in range(k + 1)]
     expected_vals, expected_mult = [], []
     for j in range(k + 1):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -237,8 +236,9 @@ def _lift_grid(g: WeightedGraph, k: int) -> np.ndarray:
 
 def _kernel(tables: list[np.ndarray], xi: np.ndarray,
             points: np.ndarray) -> np.ndarray:
-    """D(xi, eta) for every configuration row xi and point row eta, as the
-    product over sites of the tables d_x[xi_x, eta_x]."""
+    """Product over sites of the tables t_x[xi_x, eta_x], for every
+    configuration row xi and point row eta: with t_x = d_x, the duality
+    kernel D(xi, eta)."""
     out = tables[0][xi[:, 0]].take(points[:, 0], axis=1)
     for x in range(1, len(tables)):
         out *= tables[x][xi[:, x]].take(points[:, x], axis=1)
@@ -328,45 +328,29 @@ def orthogonality_check(g: WeightedGraph, rho: float, k: int, l: int) -> Orthogo
                                   poly_degree=deg)
                for a in g.alpha]
     p = rho / (1.0 + rho)
-
-    @lru_cache(maxsize=None)
-    def site_sum(x: int, xi_x: int, zeta_x: int) -> float:
-        a = float(g.alpha[x])
-        n_max = cutoffs[x]
+    tables = []  # per-site Gram tables G_x[xi, zeta] = sum_n pi_x(n) d_x(xi, n) d_x(zeta, n)
+    for a, n_max in zip(g.alpha.tolist(), cutoffs):
         ns = np.arange(n_max + 1)
         log_pi = (np.cumsum(np.log(a + ns[:-1]) - np.log(ns[:-1] + 1.0))
                   if n_max >= 1 else np.array([]))
-        log_w = np.concatenate([[0.0], log_pi]) + ns * math.log(p) \
-            - a * math.log1p(rho)
-        d1 = np.array([meixner_d(a, rho, xi_x, int(n)) for n in ns])
-        d2 = d1 if zeta_x == xi_x else np.array(
-            [meixner_d(a, rho, zeta_x, int(n)) for n in ns])
-        return float(np.sum(np.exp(log_w) * d1 * d2))
-
+        w = np.exp(np.concatenate([[0.0], log_pi]) + ns * math.log(p) - a * math.log1p(rho))
+        d = np.array([[meixner_d(a, rho, xi, int(n)) for n in ns] for xi in range(max(k, l) + 1)])
+        tables.append(np.array([[np.sum(w * d[xi] * d[zeta]) for zeta in range(l + 1)]
+                                for xi in range(k + 1)]))
     space_k = enumerate_configs(g, k)
     space_l = space_k if l == k else enumerate_configs(g, l)
-    log_mu_k = mu(g, space_k).log_weights
-    log_z = log_partition(g, k)
+    gram = _kernel(tables, space_k.occupations, space_l.occupations)
+    distinct = np.ones(gram.shape, dtype=bool)
     diag_dev = 0.0
-    off = 0.0
-    pairs = 0
-    for i in range(space_k.size):
-        xi = space_k.config(i)
-        for j in range(space_l.size):
-            zeta = space_l.config(j)
-            val = 1.0
-            for x in range(g.n):
-                val *= site_sum(x, xi[x], zeta[x])
-            pairs += 1
-            if k == l and xi == zeta:
-                expected = math.exp(
-                    k * (math.log(rho) + math.log1p(rho)) - log_z - log_mu_k[i]
-                )
-                diag_dev = max(diag_dev, abs(val - expected) / expected)
-            else:
-                off = max(off, abs(val))
-    return OrthogonalityReport(diagonal_deviation=diag_dev, off_diagonal=off,
-                               truncation_levels=cutoffs, pairs_checked=pairs)
+    if k == l:
+        np.fill_diagonal(distinct, False)
+        base = k * (math.log(rho) + math.log1p(rho)) - log_partition(g, k)
+        expected = np.array([math.exp(base - log_mu)
+                             for log_mu in mu(g, space_k).log_weights.tolist()])
+        diag_dev = float((np.abs(np.diagonal(gram) - expected) / expected).max(initial=0.0))
+    return OrthogonalityReport(diagonal_deviation=diag_dev,
+                               off_diagonal=float(np.abs(gram[distinct]).max(initial=0.0)),
+                               truncation_levels=cutoffs, pairs_checked=gram.size)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from sipspectra.comparison import (
     verify_key_ing,
 )
 from sipspectra.configspace import ConfigSpace, enumerate_configs
-from sipspectra.generators import build_sip, dirichlet_form
+from sipspectra.generators import GeneratorMatrix, build_sip, dirichlet_form
 from sipspectra.graphs import WeightedGraph, complete, h_shape, path_graph, shortest_path, torus
 from sipspectra.measures import log_mu_rows
 from sipspectra.reports import parse_report
@@ -333,6 +333,22 @@ def test_compare_request_builds_one_plan_per_geodesic_class(monkeypatch, capsys)
     assert bounds.computed["triples"] == 60 > calls
 
 
+def test_compare_request_builds_one_carrier_per_generator(monkeypatch, capsys):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(GeneratorMatrix, "carrier", counting("carrier", GeneratorMatrix.carrier))
+    monkeypatch.setattr(comparison, "dirichlet_form", counting("dirichlet_form", dirichlet_form))
+    assert main(["compare-dirichlet", "--family", "path(4)", "--k", "3"]) == 0
+    capsys.readouterr()
+    assert calls == {"carrier": 2, "dirichlet_form": 2}
+
+
 _ORACLE_CASES = [
     pytest.param(name, aname, k, id=f"{name}-{aname}-k{k}")
     for name, _ in _COMPARISON_CASES
@@ -411,7 +427,7 @@ def test_alt_bounds_dominate():
 
 def test_alt_bounds_with_more_particles():
     g = torus(4, 1, alpha=0.1)
-    rep = alt_bounds_report(g, 8)
+    rep = alt_bounds_report(g, 8, verify_key_ing(g, 8))
     assert rep.all_dominate
 
 

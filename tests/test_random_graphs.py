@@ -4,8 +4,10 @@ Random connected graphs with up to five vertices, conductances in [0.5, 2],
 site weights log-uniform on [0.05, 3] and up to three particles.  The rates of
 ``build_sip`` are compared with ``==`` against a brute-force assembly that
 enumerates, indexes and applies every jump with plain tuples and a dict.  The
-dense and sparse routes of ``symmetrized`` must agree bit for bit, and the
-iterative bottom of the spectrum must match the dense one.  The array
+dense and sparse routes of ``symmetrized`` must agree bit for bit, a block
+``dirichlet_form`` call must equal its one-column calls bit for bit, both
+must reject a one-way perturbed generator, and the iterative bottom of the
+spectrum must match the dense one.  The array
 eigen-lift residual must match a pointwise one built from ``lift_F`` and
 ``open_generator_apply``, with the true drift and with a perturbed one.  Every
 field of a ``bounds_report_rows`` row must equal, with ``==``, the sandwich
@@ -29,6 +31,7 @@ from sipspectra.generators import (
     CertificationError,
     build_killed,
     build_sip,
+    dirichlet_form,
     open_generator_apply,
 )
 from sipspectra.graphs import WeightedGraph, metrics
@@ -97,6 +100,8 @@ def test_dense_and_sparse_symmetrization_agree_on_random_graphs(g, k, data):
         S_sparse, resid_sparse = symmetrized(L, False)
         assert np.array_equal(S, S_sparse.toarray())
         assert resid == resid_sparse
+        F = np.random.default_rng(0).uniform(-1.0, 1.0, (L.size, 4))
+        assert dirichlet_form(L, F).tolist() == [dirichlet_form(L, F[:, j]) for j in range(4)]
         if L.rates.nnz == 0:
             continue
         bad = dataclasses.replace(L, rates=L.rates.copy())
@@ -104,6 +109,8 @@ def test_dense_and_sparse_symmetrization_agree_on_random_graphs(g, k, data):
         for dense in (True, False):
             with pytest.raises(CertificationError, match="asymmetry"):
                 symmetrized(bad, dense)
+        with pytest.raises(CertificationError, match="not reversible"):
+            dirichlet_form(bad, F)
 
 
 @given(_graphs(), st.integers(1, 3), st.data())

@@ -4,7 +4,9 @@ The package source is parsed with ``ast``, never imported.  No module may
 import another module's private (underscore) name, and only ``spectral`` may
 call an eigensolver, so every eigenvalue the library reports has passed its
 asymmetry certificate.  Only ``metastable.build_chain`` splits a generator
-into its slow-fast pair; every other reader takes the built chain.  Every
+into its slow-fast pair; every other reader takes the built chain.  No
+``dirichlet_form`` or ``carrier`` call sits in a loop body or a
+comprehension: a block of functions is one call, so one carrier.  Every
 exported name has a reader outside the tests, or a reason to stay public.
 """
 
@@ -16,6 +18,8 @@ import sipspectra
 PACKAGE = Path(sipspectra.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 EIGENSOLVERS = {"eigvalsh", "eigh", "eigsh", "eig"}
+LOOPS = (ast.For, ast.AsyncFor, ast.While)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 # exported names that no criterion, CLI path or perfbench workload reads
 PUBLIC_API = {
@@ -51,6 +55,28 @@ def _call_sites(name: str) -> list[tuple[str, str | None]]:
 
     for module, tree in _modules():
         visit(tree, module, None)
+    return sites
+
+
+def _looped_call_sites(names: set[str]) -> set[str]:
+    """module.function of every call to one of ``names`` made in a loop body
+    (a ``while`` test included) or a comprehension."""
+    sites = set()
+
+    def visit(node, module, where, looped):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where, looped = node.name, False
+        elif looped and isinstance(node, ast.Call) and _called(node) in names:
+            sites.add(f"{module}.{where}")
+        for field, value in ast.iter_fields(node):
+            inner = looped or isinstance(node, COMPREHENSIONS) or (
+                isinstance(node, LOOPS) and field in ("body", "test"))
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    visit(child, module, where, inner)
+
+    for module, tree in _modules():
+        visit(tree, module, None, False)
     return sites
 
 
@@ -145,6 +171,10 @@ def test_only_spectral_calls_an_eigensolver():
 
 def test_only_build_chain_splits_into_the_slow_fast_pair():
     assert _call_sites("build_slow_fast") == [("metastable", "build_chain")]
+
+
+def test_no_carrier_is_built_inside_a_loop():
+    assert _looped_call_sites({"dirichlet_form", "carrier"}) == set()
 
 
 def test_every_exported_name_has_a_reader_outside_the_tests():

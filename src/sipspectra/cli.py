@@ -170,7 +170,8 @@ def _cmd_metastable(args) -> int:
         target="informational", tolerance=0.0, passed=True))
     if args.k >= 2:
         t0 = time.perf_counter()
-        prev = metastable.build_chain(g, args.k - 1)
+        prev = metastable.build_chain(g, args.k - 1,
+                                      enumerate_configs(g, args.k - 1, cap=args.budget))
         resid = metastable.restricted_annihilation_residual(chain, prev)
         report.add(CheckRecord(
             name="restricted_intertwining",

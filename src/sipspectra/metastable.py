@@ -32,7 +32,7 @@ from .generators import (
 )
 from .graphs import WeightedGraph, graph_to_document
 from .measures import WeightedMeasure, varsigma_rows
-from .spectral import expm_action, spectral_gap
+from .spectral import expm_action, gap_and_semigroup, spectral_gap
 from .intertwiners import annihilation
 
 __all__ = [
@@ -264,8 +264,13 @@ def slow_fast_convergence(chain: MetastableChain, t: float,
     For each diffusivity eps: the sup-norm distance between the accelerated
     semigroup and the projected limit semigroup over a panel of functions,
     the rescaled gap against the limit gap, and the worst-case probability of
-    sitting in the absorbing set at time t.  Diffusivities below 1e-3 are
-    rejected: the uniformization step count grows like 1/eps.
+    sitting in the absorbing set at time t.  Each eps is one
+    ``gap_and_semigroup`` call on A + B/eps; the limit semigroup is the one
+    uniformization.  Diffusivities below MIN_EPS = 1e-3 are rejected.  Above
+    the dense cut-off the semigroup is uniformized and its step count grows
+    like 1/eps; on the dense route the rounding of the eigenvectors is
+    amplified by up to e^(max h - min h), h the half log-weights, and the
+    weights of the shrunk reference measure spread further as eps falls.
     """
     if t <= 0:
         raise ValueError("time must be positive")
@@ -282,10 +287,10 @@ def slow_fast_convergence(chain: MetastableChain, t: float,
     rows = []
     for eps in eps_grid:
         gen = combine_slow_fast(chain.A, chain.B, eps)
-        evolved = expm_action(gen, t, columns)
+        # gen is the eps * alpha generator over eps
+        ratio, evolved = gap_and_semigroup(gen, t, columns)
         mass = evolved[:, -1]
         deviation = float(np.abs(evolved[:, :-1] - limit_vals).max())
-        ratio = spectral_gap(gen)  # gen is the eps * alpha generator over eps
         rows.append(SlowFastRow(
             eps=float(eps),
             semigroup_deviation=deviation,

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from sipspectra import cli, metastable, spectral
-from sipspectra.configspace import enumerate_configs
-from sipspectra.generators import CertificationError, build_sip, build_slow_fast
+from sipspectra.acceptance import EPS_GRID, SLOW_FAST_INSTANCES
+from sipspectra.configspace import DEFAULT_CAP, enumerate_configs
+from sipspectra.generators import (
+    CertificationError,
+    build_killed,
+    build_sip,
+    build_slow_fast,
+    combine_slow_fast,
+)
 from sipspectra.graphs import WeightedGraph, complete, h_shape, path_graph, torus
 from sipspectra.metastable import (
     build_chain,
@@ -17,7 +24,7 @@ from sipspectra.metastable import (
     slow_fast_convergence,
     w_k,
 )
-from sipspectra.spectral import spectral_gap
+from sipspectra.spectral import expm_action, gap_and_semigroup, spectral_gap
 
 CHAIN_CASES = [
     (path_graph(3), 2),
@@ -198,6 +205,23 @@ def test_metastable_command_builds_each_limit_chain_once(monkeypatch, capsys):
     assert sorted(sector_solves) == sorted(block_generators)
 
 
+def test_metastable_budget_reaches_the_lower_chain(monkeypatch, capsys):
+    caps = []
+
+    def counted_enumerate(g, k, cap=DEFAULT_CAP):
+        caps.append(cap)
+        return enumerate_configs(g, k, cap)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sipspectra") and getattr(module, "enumerate_configs", None) is enumerate_configs:
+            monkeypatch.setattr(module, "enumerate_configs", counted_enumerate)
+    code = cli.main(["metastable", "--family", "path(3)", "--k", "3", "--budget", "400000"])
+    assert code == cli.EXIT_PASS
+    assert '"restricted_intertwining"' in capsys.readouterr().out
+    assert len(caps) == 2  # the k chain and the k - 1 chain
+    assert all(cap == 400_000 for cap in caps)
+
+
 def test_lambda_collapse_and_ordering():
     for g in (torus(6, 1), h_shape(), path_graph(5)):
         chains = {k: build_chain(g, k) for k in range(2, 5)}
@@ -278,6 +302,71 @@ def test_slow_fast_gap_ratio_reads_the_combined_generator(g, k, monkeypatch):
     for row in rows:
         rebuilt = spectral_gap(build_sip(g.scaled_alpha(row.eps), k)) / row.eps
         assert abs(row.gap_ratio - rebuilt) <= 1e-10 * rebuilt
+
+
+@pytest.mark.parametrize("g, k", [(path_graph(3, alpha=(0.5, 1.0, 2.0)), 3), (h_shape(), 3)])
+def test_slow_fast_makes_one_eigendecomposition_per_eps(g, k, monkeypatch):
+    # the limit semigroup is the one uniformization; each eps diagonalizes
+    # the combined generator once, for its gap and its semigroup together
+    chain = build_chain(g, k)
+    assert chain.space.size <= spectral.BOTTOM_DENSE_CAP
+    w_k(chain)  # the sector rates are cached on the chain
+    calls = {"expm_action": 0, "eigh": 0, "eigvalsh": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sipspectra") and getattr(module, "expm_action", None) is expm_action:
+            monkeypatch.setattr(module, "expm_action", counting("expm_action", expm_action))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    slow_fast_convergence(chain, t=1.0, eps_grid=(1e-1, 1e-2))
+    assert calls == {"expm_action": 1, "eigh": 2, "eigvalsh": 0}
+
+
+def _random_connected(rng, n):
+    c = np.zeros((n, n))
+    for v in range(1, n):  # a random spanning tree, then extra edges
+        u = int(rng.integers(v))
+        c[u, v] = c[v, u] = rng.uniform(0.5, 2.0)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if c[u, v] == 0.0 and rng.random() < 0.3:
+                c[u, v] = c[v, u] = rng.uniform(0.5, 2.0)
+    alpha = np.exp(rng.uniform(math.log(0.1), math.log(3.0), n))
+    return WeightedGraph(tuple(f"v{i}" for i in range(n)), c, alpha)
+
+
+def _slow_fast_cases():
+    """(name, graph, k, eps grid): criterion 9's instances, then seeded
+    random connected graphs at k = 4."""
+    for gname, g in SLOW_FAST_INSTANCES:
+        for k in (1, 2, 3):
+            yield gname, g, k, EPS_GRID
+    rng = np.random.default_rng(20)
+    for n in range(3, 9):
+        yield f"random_{n}", _random_connected(rng, n), 4, (1e-1, 1e-2, 1e-3)
+
+
+def test_gap_and_semigroup_matches_uniformization():
+    rng = np.random.default_rng(9)
+    for gname, g, k, eps_grid in _slow_fast_cases():
+        A, B = build_slow_fast(g, k)
+        for eps in eps_grid:
+            L = combine_slow_fast(A, B, eps)
+            F = np.column_stack([np.ones(L.size), rng.uniform(-1.0, 1.0, (L.size, 3))])
+            gap, evolved = gap_and_semigroup(L, 1.0, F)
+            reference = spectral_gap(L)
+            case = f"{gname} k={k} eps={eps:g}"
+            assert abs(gap - reference) <= 1e-10 * reference, case
+            assert np.abs(evolved - expm_action(L, 1.0, F)).max() <= 1e-9, case
+    L = build_killed(path_graph(3), 0.5, 2)
+    with pytest.raises(ValueError, match="conservative"):
+        gap_and_semigroup(L, 1.0, np.ones(L.size))
 
 
 def test_slow_fast_crossover_instance():

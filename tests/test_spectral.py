@@ -15,6 +15,7 @@ from sipspectra.nonconservative import killed_eigenpairs
 from sipspectra.spectral import (
     bottom_eigenpairs,
     expm_action,
+    gap_and_semigroup,
     gap_sip,
     spectral_gap,
     spectrum,
@@ -277,6 +278,33 @@ def test_expm_action_batch_matches_columns():
     for j in range(4):
         np.testing.assert_allclose(joint[:, j], expm_action(L, 0.7, batch[:, j]),
                                    atol=1e-12)
+
+
+def test_semigroup_certificate_fires_before_the_zero_mode_check():
+    # a diagonal off by c keeps S symmetric and its bottom eigenvalue -c within
+    # the zero-mode scale, but exp(tL) 1 = e^(ct) misses 1 by about ct
+    L = build_sip(path_graph(3, alpha=(0.5, 1.0, 2.0)), 2)
+    c, t = 2e-9, 10.0
+    bad = dataclasses.replace(L, diagonal=L.diagonal + c)
+    scale = spectrum(bad).eigenvalues[-1]
+    assert c < 1e-8 * scale and c * t > spectral.SEMIGROUP_TOL
+    _, resid = symmetrized(bad, True)
+    assert resid < spectral.ASYMMETRY_TOL
+    assert spectral_gap(bad) > 0.0  # the zero mode is accepted
+    gap, evolved = gap_and_semigroup(L, t, np.ones(L.size))
+    assert gap == pytest.approx(spectral_gap(L), rel=1e-12)
+    assert evolved.shape == (L.size,)
+    with pytest.raises(CertificationError, match="semigroup residual"):
+        gap_and_semigroup(bad, t, np.ones(L.size))
+
+
+def test_gap_and_semigroup_above_the_dense_cut_off_uniformizes(monkeypatch):
+    monkeypatch.setattr(spectral, "BOTTOM_DENSE_CAP", 4)
+    L = build_sip(path_graph(3, alpha=(0.5, 1.0, 2.0)), 3)
+    F = np.random.default_rng(3).standard_normal((L.size, 2))
+    gap, evolved = gap_and_semigroup(L, 0.7, F)
+    assert gap == spectral_gap(L)
+    np.testing.assert_array_equal(evolved, expm_action(L, 0.7, F))
 
 
 def test_lower_bound_certificate_on_suite():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -364,7 +365,9 @@ def _add_common(p: argparse.ArgumentParser, graph: bool = True) -> None:
                    help="include wall-clock fields (breaks byte-determinism)")
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="sipspectra",
         description="spectral experiments for interacting particle systems")
@@ -414,8 +417,11 @@ def main(argv=None) -> int:
     _add_common(p, graph=False)  # fixed instances: no budget
     p.add_argument("--only", help="comma-separated criterion numbers")
     p.set_defaults(func=_cmd_verify_all)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "k", 1) < 1:
             raise ValueError(f"--k must be at least 1, got {args.k}")

@@ -299,6 +299,8 @@ def quadratic_crossover(g: WeightedGraph, gap_hat: float) -> float | None:
     a, b = lo, min(2 * lo, CROSSOVER_EPS_MAX)
     for _ in range(200):
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:  # margin(a) > 0 >= margin(b): no step moves either
+            break
         if margin(mid) > 0:
             a = mid
         else:

@@ -3,8 +3,18 @@
 All generators are stored as a sparse off-diagonal rate matrix plus an
 explicit diagonal.  Killed (sub-stochastic) generators carry the per-state
 killing rate instead of a ghost cemetery state; their spectra refer to the
-restricted matrix.  Rates reaching the same ordered state pair through
-several site channels are accumulated.
+restricted matrix.
+
+Which configurations a particle jump connects depends only on the edge set
+and the particle number; alpha and the conductance values enter the rates
+alone.  That sparsity pattern, a skeleton (the CSR structure in canonical
+order and, per entry, the occupations of the two sites and the directed
+edge), is built once per edge set and (n, k) and kept read-only in a bounded
+memo keyed by the adjacency matrix's bytes, n and k.  Assembling a generator
+evaluates its rates on the skeleton's entries and gives the matrix its own
+copy of the index arrays, so nothing written into a generator reaches the
+memo.  Distinct edges lead from one configuration to distinct ones, so no
+entry is ever accumulated.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ __all__ = [
 ]
 
 ASYMMETRY_TOL = 1e-10  # relative asymmetry that fails a reversibility certificate
+SHARED_SKELETONS = 64  # (edge set, n, k) skeletons the memo keeps
 
 
 class CertificationError(ValueError):
@@ -104,29 +115,79 @@ def _asymmetry(carrier: sp.csr_matrix) -> float:
     return float(np.abs((carrier - carrier.T).data).max(initial=0.0))
 
 
-def _assemble(g: WeightedGraph, space: ConfigSpace, edge_rate) -> sp.csr_matrix:
-    """Accumulate off-diagonal rates over all directed edges of g at once.
+@dataclass(frozen=True, eq=False)
+class _Skeleton:
+    """The alpha-free sparsity pattern of the k-particle generator on one edge set.
 
-    ``edge_rate(eta_x, eta_y, alpha_y, c)`` returns the jump rates x -> y on
-    (edges, rows) arrays: row i of edge (x, y) is the i-th configuration with
-    a particle at x.  Entries run edge by edge in ``g.directed_edges`` order.
-    The space provides indexing only, so a generator for one edge set may be
-    assembled on the index space of another graph over the same vertices.
+    ``indptr``/``indices`` are the CSR structure in canonical order (rows
+    ascending, columns ascending within a row) of every jump x -> y over the
+    directed edges (x, y); entry j moves a particle from a site holding
+    ``eta_x[j]`` to one holding ``eta_y[j]`` along directed edge ``edge[j]``
+    (``np.nonzero(adjacency)`` order).  All arrays are read-only.
     """
-    occ, up, size = space.occupations, space.up, space.size
-    xs, ys = np.nonzero(g.conductances > 0)
-    rows = up[xs]
-    rate = edge_rate(occ[rows, xs[:, None]], occ[rows, ys[:, None]],
-                     g.alpha[ys][:, None], g.conductances[xs, ys][:, None])
-    # the sparse matrix stores int32 indices; converting here, not inside
-    # coo_matrix, frees each int64 (edges x rows) index array at once
-    rows, cols = rows.astype(np.int32), up[ys].astype(np.int32)
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    eta_x: np.ndarray
+    eta_y: np.ndarray
+    edge: np.ndarray
+
+    @classmethod
+    def build(cls, adjacency: np.ndarray, space: ConfigSpace) -> "_Skeleton":
+        occ, up, size = space.occupations, space.up, space.size
+        xs, ys = np.nonzero(adjacency)
+        rows, cols = up[xs].ravel(), up[ys].ravel()  # edge by edge
+        # (row, column) pairs are distinct: a jump along another edge lands elsewhere
+        order = np.argsort(rows * size + cols, kind="stable")
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+        # row up[x, r] is the r-th (k - 1)-configuration plus a particle at x;
+        # occupations and edge numbers are kept in the narrowest exact type
+        lower = occ[up[0]].T.astype(np.min_scalar_type(space.k))
+        lower[0] -= 1
+        edge = (order // up.shape[1]).astype(np.min_scalar_type(max(xs.size - 1, 0)))
+        arrays = (indptr, cols[order].astype(np.int32), (lower[xs] + 1).ravel()[order],
+                  lower[ys].ravel()[order], edge)
+        for a in arrays:
+            a.setflags(write=False)
+        return cls(*arrays)
+
+
+_SKELETONS: dict[tuple[bytes, int, int], _Skeleton] = {}  # least recently used first
+
+
+def _skeleton(g: WeightedGraph, space: ConfigSpace) -> _Skeleton:
+    """The memoized skeleton of g's edge set on space's (n, k) shape."""
+    key = (g.adjacency.tobytes(), space.n_sites, space.k)
+    skeleton = _SKELETONS.pop(key, None) or _Skeleton.build(g.adjacency, space)
+    _SKELETONS[key] = skeleton
+    if len(_SKELETONS) > SHARED_SKELETONS:
+        del _SKELETONS[next(iter(_SKELETONS))]
+    return skeleton
+
+
+def _assemble(g: WeightedGraph, space: ConfigSpace, edge_rate) -> sp.csr_matrix:
+    """Off-diagonal rates over all directed edges of g, on g's skeleton.
+
+    ``edge_rate(eta_x, eta_y, alpha_y, c)`` returns the jump rates x -> y of
+    the skeleton's entries; entries with rate zero are dropped.  Only the
+    rates are computed here: the pattern, which alpha and the conductance
+    values do not enter, is built once per (edge set, n, k).  The space
+    provides indexing only, so a generator for one edge set may be assembled
+    on the index space of another graph over the same vertices.
+    """
+    sk = _skeleton(g, space)
+    xs, ys = np.nonzero(g.adjacency)
+    rate = edge_rate(sk.eta_x, sk.eta_y, g.alpha[ys][sk.edge],
+                     g.conductances[xs, ys][sk.edge])
     hot = rate > 0
-    if not hot.all():  # the pure-interaction part B vanishes where eta_y = 0
-        rows, cols, rate = rows[hot], cols[hot], rate[hot]
-    mat = sp.coo_matrix((rate.ravel(), (rows.ravel(), cols.ravel())),
-                        shape=(size, size))
-    return mat.tocsr()
+    if hot.all():  # each generator owns its index arrays: the memo stays intact
+        indices, indptr = sk.indices.copy(), sk.indptr.copy()
+    else:  # the pure-interaction part B vanishes where eta_y = 0
+        kept = np.zeros(hot.size + 1, dtype=np.int32)
+        np.cumsum(hot, out=kept[1:])
+        indices, indptr, rate = sk.indices[hot], kept[sk.indptr], rate[hot]
+    return sp.csr_matrix((rate, indices, indptr), shape=(space.size, space.size))
 
 
 def _sip_rate(eta_x, eta_y, alpha_y, c):
@@ -134,7 +195,12 @@ def _sip_rate(eta_x, eta_y, alpha_y, c):
 
 
 def _finish(space, rates, kill=None, reference=None) -> GeneratorMatrix:
-    diag = -np.asarray(rates.sum(axis=1)).ravel()
+    # rates.sum(axis=1) without its matrix wrapping: the same reduceat over rows
+    sums = np.zeros(rates.shape[0])
+    rows = np.flatnonzero(np.diff(rates.indptr))
+    if rows.size:
+        sums[rows] = np.add.reduceat(rates.data, rates.indptr[rows])
+    diag = -sums
     if kill is not None:
         diag = diag - kill
     return GeneratorMatrix(space=space, rates=rates, diagonal=diag,
@@ -158,8 +224,9 @@ def build_slow_fast(g: WeightedGraph, k: int, space: ConfigSpace | None = None):
     a_rates = _assemble(g, space, lambda eta_x, eta_y, alpha_y, c: c * eta_x * alpha_y)
     b_rates = _assemble(g, space, lambda eta_x, eta_y, alpha_y, c: c * eta_x * eta_y)
     # A is reversible for k independent walkers: prod alpha_x^eta_x / eta_x!
-    log_w = (space.occupations * np.log(alpha)).sum(axis=1) - gammaln(
-        space.occupations + 1.0).sum(axis=1)
+    log_factorials = gammaln(np.arange(k + 1.0) + 1.0)  # log m!, gathered per site
+    log_w = (space.occupations * np.log(alpha)).sum(axis=1) - log_factorials[
+        space.occupations].sum(axis=1)
     a_ref = WeightedMeasure(log_weights=log_w)
     A = _finish(space, a_rates, reference=a_ref)
     B = _finish(space, b_rates)

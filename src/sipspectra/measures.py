@@ -61,9 +61,15 @@ class WeightedMeasure:
 
 
 def _log_pi_rows(alpha: np.ndarray, occ: np.ndarray) -> np.ndarray:
-    """Row sums of log Gamma(alpha+eta) - log Gamma(alpha) - log eta!."""
-    occ = np.asarray(occ, dtype=float)
-    return (gammaln(occ + alpha) - gammaln(alpha) - gammaln(occ + 1.0)).sum(axis=1)
+    """Row sums of log Gamma(alpha+eta) - log Gamma(alpha) - log eta!.
+
+    A term depends only on its site and occupation, so the terms are
+    tabulated for every occupation up to the largest and gathered per row.
+    """
+    occ = np.asarray(occ, dtype=np.int64)
+    m = np.arange(occ.max(initial=0) + 1, dtype=float)
+    terms = gammaln(m + alpha[:, None]) - gammaln(alpha)[:, None] - gammaln(m + 1.0)
+    return terms[np.arange(alpha.size), occ].sum(axis=1)
 
 
 @lru_cache(maxsize=512)

@@ -226,14 +226,20 @@ def spectrum(L: GeneratorMatrix) -> Spectrum:
     S, _ = symmetrized(L, dense)
     eigenvalues = _bottom(S, L.size if dense else N_EXTREMAL)
     return Spectrum(eigenvalues=eigenvalues,
-                    gap=_extract_gap(eigenvalues, L.conservative),
+                    gap=_extract_gap(eigenvalues, L),
                     conservative=L.conservative, partial=not dense)
 
 
-def _extract_gap(eigenvalues: np.ndarray, conservative: bool) -> float:
-    scale = max(abs(float(eigenvalues[-1])), 1.0)
-    if not conservative:
+def _extract_gap(eigenvalues: np.ndarray, L: GeneratorMatrix) -> float:
+    """The gap of -L from its bottom eigenvalues, checking the zero mode.
+
+    The zero mode is judged against the largest |diagonal entry| of L, which
+    every route shares, not against the eigenvalues it was handed: how many
+    were computed must not change the verdict.
+    """
+    if not L.conservative:
         return float(eigenvalues[0])
+    scale = max(float(np.abs(L.diagonal).max(initial=0.0)), 1.0)
     if abs(eigenvalues[0]) > 1e-8 * scale:
         raise CertificationError("conservative generator has no zero eigenvalue; wiring bug")
     return float(eigenvalues[1])
@@ -250,7 +256,7 @@ def bottom_eigenpairs(L: GeneratorMatrix, count: int = 2) -> tuple[np.ndarray, n
 def spectral_gap(L: GeneratorMatrix) -> float:
     """Gap only: a bottom-few request, so iterative above BOTTOM_DENSE_CAP."""
     S, _ = symmetrized(L, _bottom_few_dense(L.size, 3))
-    return _extract_gap(_bottom(S, 3), L.conservative)
+    return _extract_gap(_bottom(S, 3), L)
 
 
 def gap_sip(g: WeightedGraph, k_max: int, cap: int = DEFAULT_CAP) -> GapScan:
@@ -286,7 +292,7 @@ def gap_and_semigroup(L: GeneratorMatrix, t: float, F) -> tuple[float, np.ndarra
         return spectral_gap(L), expm_action(L, t, F)
     S, _ = symmetrized(L, dense=True)
     vals, vecs = _bottom(S, L.size, vectors=True)
-    gap = _extract_gap(vals, True)
+    gap = _extract_gap(vals, L)
     F = np.asarray(F, dtype=float)
     columns = F.reshape(L.size, -1)
     lw = L.reference.log_weights

@@ -16,21 +16,31 @@ and linear bound computed inline from one gap solve per particle number.
 
 import dataclasses
 import math
+from dataclasses import replace
 from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sipspectra import nonconservative, spectral
 from sipspectra.configspace import enumerate_configs
-from sipspectra.experiments import _linear_bound, bounds_report_rows
+from sipspectra.experiments import (
+    CROSSOVER_EPS_MAX,
+    _linear_bound,
+    bounds_report_rows,
+    quadratic_crossover,
+    unit_walk_gap,
+)
 from sipspectra.generators import (
     CertificationError,
+    _sip_rate,
     build_killed,
     build_sip,
+    build_slow_fast,
     dirichlet_form,
     open_generator_apply,
 )
@@ -40,8 +50,8 @@ from sipspectra.spectral import bottom_eigenpairs, spectral_gap, spectrum, symme
 
 
 @st.composite
-def _graphs(draw, max_n=5):
-    n = draw(st.integers(2, max_n))
+def _graphs(draw, max_n=5, min_n=2):
+    n = draw(st.integers(min_n, max_n))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # spanning tree
     edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())}
     c = np.zeros((n, n))
@@ -191,3 +201,86 @@ def test_bounds_rows_equal_the_inline_oracle(g, k_max, eps_grid):
                "linear_lower": row.linear_lower,
                "sandwich_ok": row.sandwich_ok, "linear_ok": row.linear_ok}
         assert got == _inline_bounds(g, k_max, row.eps)
+
+
+def _coo_assemble(g, space, edge_rate):
+    """Rates through COO -> CSR, as assembled before the skeleton memo."""
+    occ, up, size = space.occupations, space.up, space.size
+    xs, ys = np.nonzero(g.conductances > 0)
+    rows = up[xs]
+    rate = edge_rate(occ[rows, xs[:, None]], occ[rows, ys[:, None]],
+                     g.alpha[ys][:, None], g.conductances[xs, ys][:, None])
+    rows, cols = rows.astype(np.int32), up[ys].astype(np.int32)
+    hot = rate > 0
+    if not hot.all():
+        rows, cols, rate = rows[hot], cols[hot], rate[hot]
+    rates = sp.coo_matrix((rate.ravel(), (rows.ravel(), cols.ravel())),
+                          shape=(size, size)).tocsr()
+    return rates, -np.asarray(rates.sum(axis=1)).ravel()
+
+
+def _assert_bits(L, rates, diagonal):
+    for got, want in [(getattr(L.rates, name), getattr(rates, name))
+                      for name in ("indptr", "indices", "data")] + [(L.diagonal, diagonal)]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(st.data(), st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_skeleton_assembly_equals_the_coo_oracle(data, k):
+    g = data.draw(_graphs(min_n=3, max_n=7))
+    other = data.draw(_graphs(min_n=g.n, max_n=g.n))
+    omega = np.array([data.draw(st.sampled_from((0.0, 0.3, 1.7))) for _ in range(g.n)])
+    own = enumerate_configs(g, k)
+    sip, walk, interaction = (_coo_assemble(g, own, rate) for rate in (
+        _sip_rate, lambda ex, ey, ay, c: c * ex * ay, lambda ex, ey, ay, c: c * ex * ey))
+    build_sip(other, k)  # the other edge set's skeleton enters the memo first
+    # g's edges on the other graph's index space, which indexes like its own
+    for space in (enumerate_configs(other, k), own):
+        _assert_bits(build_sip(g, k, space), *sip)
+        _assert_bits(build_killed(g, omega, k, space), sip[0],
+                     sip[1] - own.occupations @ omega)
+        A, B = build_slow_fast(g, k, space)
+        _assert_bits(A, *walk)
+        _assert_bits(B, *interaction)  # B drops its zero rates
+    # writing into one generator leaves the next build of its structure intact
+    for L in (build_sip(g, k), B):
+        L.rates.indices[:] = 0
+        L.rates.indptr[:] = 0
+        L.rates.data[:] = -1.0
+    _assert_bits(build_sip(g, k), *sip)
+    _assert_bits(build_slow_fast(g, k)[1], *interaction)
+
+
+def _crossover_200_steps(g, gap_hat):
+    """quadratic_crossover with every one of its 200 bisection steps taken."""
+    met = metrics(g)
+    a_min, a_max = met.alpha_min, met.alpha_max
+
+    def margin(eps):
+        low, high = eps * a_min / a_min, eps * a_max / a_min
+        scaled = replace(met, alpha_min=low, alpha_max=high, alpha_ratio=low / high)
+        return _linear_bound(scaled, g.n) - low**2 * gap_hat
+
+    if margin(CROSSOVER_EPS_MAX) > 0:
+        return None
+    lo = CROSSOVER_EPS_MAX
+    while margin(lo) <= 0:
+        lo /= 2.0
+        if lo < 1e-12:
+            raise RuntimeError("no crossover above eps = 1e-12")
+    a, b = lo, min(2 * lo, CROSSOVER_EPS_MAX)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if margin(mid) > 0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+@given(_graphs(max_n=7), st.floats(math.log(1e-9), math.log(1e3)))
+@settings(max_examples=60, deadline=None)
+def test_crossover_stops_at_the_fixed_point_of_its_bisection(g, log_factor):
+    gap_hat = unit_walk_gap(g) * math.exp(log_factor)
+    assert quadratic_crossover(g, gap_hat) == _crossover_200_steps(g, gap_hat)

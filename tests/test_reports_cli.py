@@ -252,6 +252,16 @@ def test_cli_gap_bounds_table_scans_each_eps_once(tmp_path, monkeypatch):
     assert (first["gap_rw"], first["gap_sip"]) == (sandwich["gap_rw"], sandwich["gap_sip"])
 
 
+def test_cli_parser_is_built_once_and_leaks_nothing_between_calls(tmp_path):
+    first, second = tmp_path / "eps.json", tmp_path / "plain.json"
+    assert main(["gap", "--family", "path(3)", "--eps", "1,0.1", "--out", str(first)]) == 0
+    assert main(["gap", "--family", "path(3)", "--out", str(second)]) == 0
+    assert cli._parser() is cli._parser()
+    names = [r.name for r in parse_report(second.read_text()).records]
+    assert "bounds_table" in [r.name for r in parse_report(first.read_text()).records]
+    assert names == ["per_particle_gaps", "sandwich", "linear_lower_bound"]
+
+
 def test_quadratic_crossover_separates_bounds():
     from sipspectra.experiments import _linear_bound, quadratic_crossover, unit_walk_gap
     from sipspectra.graphs import metrics, path_graph

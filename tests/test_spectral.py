@@ -237,16 +237,43 @@ def test_rayleigh_dominates_gap_and_descent_approaches_it():
         quotient = _rayleigh(L, f)
         assert quotient >= gap - 1e-9
         best = min(best, quotient)
-        # coordinate-descent refinement toward the minimizer
+        # coordinate-descent refinement toward the minimizer: try -0.1, then
+        # +0.1 from wherever the first trial left f.  f and both trials are
+        # one dirichlet_form block, whose values equal one-column calls.
         for _ in range(50):
             i = rng.integers(L.size)
-            for step in (-0.1, 0.1):
+            block = np.column_stack([f, f, f])
+            block[i, 1:] += (-0.1, 0.1)
+            energies = dirichlet_form(L, block)
+            quotients = [energies[j] / _variance(L.reference, block[:, j])
+                         if block[:, j].std() > 0 else math.nan for j in range(3)]
+            q_f, trial, q_trial = quotients[0], block[:, 2], quotients[2]
+            if block[:, 1].std() > 0 and quotients[1] < q_f:
+                f, q_f = block[:, 1], quotients[1]
                 trial = f.copy()
-                trial[i] += step
-                if trial.std() > 0 and _rayleigh(L, trial) < _rayleigh(L, f):
-                    f = trial
+                trial[i] += 0.1
+                # the way back is usually f itself, whose quotient is known
+                same = np.array_equal(trial, block[:, 0])
+                q_trial = quotients[0] if same else _rayleigh(L, trial)
+            if trial.std() > 0 and q_trial < q_f:
+                f = trial
         f = rng.standard_normal(L.size) if rng.uniform() < 0.3 else f
     assert best < gap * 1.05
+
+
+@pytest.mark.parametrize("shift, passes", [(5e-8, True), (1e-7, False)])
+def test_zero_mode_verdict_is_the_same_on_every_route(shift, passes):
+    # the largest |diagonal entry| is 5.5, so the check allows |lambda_0| <= 5.5e-8
+    L = build_sip(path_graph(3, alpha=(0.5, 1.0, 2.0)), 2)
+    lifted = dataclasses.replace(L, diagonal=L.diagonal + shift)
+    routes = (lambda: spectrum(lifted).gap, lambda: spectral_gap(lifted),
+              lambda: gap_and_semigroup(lifted, 0.01, np.ones(L.size))[0])
+    for route in routes:
+        if passes:
+            assert route() == pytest.approx(1.0 - shift, abs=1e-12)
+        else:
+            with pytest.raises(CertificationError, match="no zero eigenvalue"):
+                route()
 
 
 def test_expm_action_constant_and_closed_form():
